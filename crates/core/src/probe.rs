@@ -227,41 +227,139 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:>10} {} ", self.at, self.pe)?;
+impl TraceEvent {
+    /// Render the event's canonical one-line form, without a trailing
+    /// newline, as a sequence of string pieces passed to `out`.
+    ///
+    /// This is the single definition of the line format: [`fmt::Display`]
+    /// writes these pieces to a formatter, and the `emx-obs` trace-digest
+    /// probe hashes them directly, so neither allocates. The cycle is
+    /// unpadded (`1234cy PE5 dispatch ReadReq`); packet kinds and
+    /// priorities are their variant names; the grammar of every variant
+    /// is listed in `docs/OBSERVABILITY.md`.
+    pub fn render(&self, out: impl FnMut(&str)) {
+        let mut w = Pieces(out);
+        w.n(self.at.get()).s("cy PE").n(self.pe.0).s(" ");
         match self.kind {
-            TraceKind::Dispatch { pkt } => write!(f, "dispatch {pkt:?}"),
-            TraceKind::Send { pkt, dst } => write!(f, "send {pkt:?} -> {dst}"),
-            TraceKind::ThreadSpawn { frame, entry } => {
-                write!(f, "spawn thread {frame} (entry {entry})")
-            }
-            TraceKind::ThreadResume { frame } => write!(f, "resume thread {frame}"),
-            TraceKind::ThreadSuspend { frame, cause } => {
-                write!(f, "suspend thread {frame} ({})", cause.label())
-            }
-            TraceKind::ThreadRetire { frame } => write!(f, "retire thread {frame}"),
+            TraceKind::Dispatch { pkt } => w.s("dispatch ").s(packet_name(pkt)),
+            TraceKind::Send { pkt, dst } => w.s("send ").s(packet_name(pkt)).s(" -> PE").n(dst.0),
+            TraceKind::ThreadSpawn { frame, entry } => w
+                .s("spawn thread F")
+                .n(frame.0)
+                .s(" (entry ")
+                .n(entry)
+                .s(")"),
+            TraceKind::ThreadResume { frame } => w.s("resume thread F").n(frame.0),
+            TraceKind::ThreadSuspend { frame, cause } => w
+                .s("suspend thread F")
+                .n(frame.0)
+                .s(" (")
+                .s(cause.label())
+                .s(")"),
+            TraceKind::ThreadRetire { frame } => w.s("retire thread F").n(frame.0),
             TraceKind::Enqueue {
                 pkt,
                 priority,
                 spilled,
                 depth,
-            } => write!(
-                f,
-                "enqueue {pkt:?} {priority:?}{} depth={depth}",
-                if spilled { " SPILL" } else { "" }
-            ),
-            TraceKind::Unspill { pkt, priority } => write!(f, "unspill {pkt:?} {priority:?}"),
-            TraceKind::DmaService { pkt, words } => write!(f, "dma {pkt:?} x{words}"),
-            TraceKind::NetInject { pkt, dst, hops } => {
-                write!(f, "net-inject {pkt:?} -> {dst} ({hops} hops)")
+            } => w
+                .s("enqueue ")
+                .s(packet_name(pkt))
+                .s(" ")
+                .s(priority_name(priority))
+                .s(if spilled { " SPILL" } else { "" })
+                .s(" depth=")
+                .n(depth as u64),
+            TraceKind::Unspill { pkt, priority } => w
+                .s("unspill ")
+                .s(packet_name(pkt))
+                .s(" ")
+                .s(priority_name(priority)),
+            TraceKind::DmaService { pkt, words } => {
+                w.s("dma ").s(packet_name(pkt)).s(" x").n(words)
             }
-            TraceKind::NetDeliver { pkt, src } => write!(f, "net-deliver {pkt:?} <- {src}"),
-            TraceKind::DispatchEnd => write!(f, "dispatch-end"),
-            TraceKind::FaultInjected { pkt, dst, fault } => {
-                write!(f, "fault {pkt:?} -> {dst} ({})", fault.label())
+            TraceKind::NetInject { pkt, dst, hops } => w
+                .s("net-inject ")
+                .s(packet_name(pkt))
+                .s(" -> PE")
+                .n(dst.0)
+                .s(" (")
+                .n(hops)
+                .s(" hops)"),
+            TraceKind::NetDeliver { pkt, src } => {
+                w.s("net-deliver ").s(packet_name(pkt)).s(" <- PE").n(src.0)
+            }
+            TraceKind::DispatchEnd => w.s("dispatch-end"),
+            TraceKind::FaultInjected { pkt, dst, fault } => w
+                .s("fault ")
+                .s(packet_name(pkt))
+                .s(" -> PE")
+                .n(dst.0)
+                .s(" (")
+                .s(fault.label())
+                .s(")"),
+        };
+    }
+}
+
+impl fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut res = Ok(());
+        self.render(|piece| {
+            if res.is_ok() {
+                res = f.write_str(piece);
+            }
+        });
+        res
+    }
+}
+
+/// The sink of [`TraceEvent::render`], with chaining helpers.
+struct Pieces<F>(F);
+
+impl<F: FnMut(&str)> Pieces<F> {
+    /// Pass on a literal piece.
+    fn s(&mut self, piece: &str) -> &mut Self {
+        (self.0)(piece);
+        self
+    }
+
+    /// Pass on the decimal digits of `v` as one piece, formatted in a
+    /// stack buffer (20 digits hold `u64::MAX`).
+    fn n(&mut self, v: impl Into<u64>) -> &mut Self {
+        let mut v = v.into();
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
         }
+        self.s(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"))
+    }
+}
+
+/// Variant name of a packet kind, as it appears in a trace line.
+fn packet_name(pkt: PacketKind) -> &'static str {
+    match pkt {
+        PacketKind::ReadReq => "ReadReq",
+        PacketKind::ReadBlockReq => "ReadBlockReq",
+        PacketKind::ReadResp => "ReadResp",
+        PacketKind::Write => "Write",
+        PacketKind::Spawn => "Spawn",
+        PacketKind::SyncArrive => "SyncArrive",
+        PacketKind::SyncRelease => "SyncRelease",
+    }
+}
+
+/// Variant name of a priority class, as it appears in a trace line.
+fn priority_name(priority: Priority) -> &'static str {
+    match priority {
+        Priority::High => "High",
+        Priority::Low => "Low",
     }
 }
 
@@ -304,64 +402,184 @@ mod tests {
         assert_eq!(TRACE_SCHEMA, "emx-trace/2");
     }
 
+    /// Every variant at boundary values, paired with the line `Display`
+    /// produced before it delegated to [`TraceEvent::render`]. Trace
+    /// digests hash these bytes, so a change here is a digest change.
     #[test]
     fn display_covers_every_variant() {
-        let evs = [
-            TraceKind::Dispatch {
-                pkt: PacketKind::Spawn,
-            },
-            TraceKind::Send {
-                pkt: PacketKind::ReadReq,
-                dst: PeId(1),
-            },
-            TraceKind::ThreadSpawn {
-                frame: FrameId(0),
-                entry: 2,
-            },
-            TraceKind::ThreadResume { frame: FrameId(0) },
-            TraceKind::ThreadSuspend {
-                frame: FrameId(0),
-                cause: SuspendCause::Barrier,
-            },
-            TraceKind::ThreadRetire { frame: FrameId(0) },
-            TraceKind::Enqueue {
-                pkt: PacketKind::ReadResp,
-                priority: Priority::High,
-                spilled: true,
-                depth: 9,
-            },
-            TraceKind::Unspill {
-                pkt: PacketKind::ReadResp,
-                priority: Priority::Low,
-            },
-            TraceKind::DmaService {
-                pkt: PacketKind::ReadBlockReq,
-                words: 8,
-            },
-            TraceKind::NetInject {
-                pkt: PacketKind::Write,
-                dst: PeId(3),
-                hops: 4,
-            },
-            TraceKind::NetDeliver {
-                pkt: PacketKind::Write,
-                src: PeId(0),
-            },
-            TraceKind::DispatchEnd,
-            TraceKind::FaultInjected {
-                pkt: PacketKind::ReadReq,
-                dst: PeId(2),
-                fault: FaultKind::Drop,
-            },
+        use PacketKind::*;
+        use TraceKind::*;
+        let far = PeId(u16::MAX);
+        let f7 = FrameId(7);
+        let table = [
+            (Dispatch { pkt: ReadReq }, "dispatch ReadReq"),
+            (Dispatch { pkt: ReadBlockReq }, "dispatch ReadBlockReq"),
+            (Dispatch { pkt: ReadResp }, "dispatch ReadResp"),
+            (Dispatch { pkt: Write }, "dispatch Write"),
+            (Dispatch { pkt: Spawn }, "dispatch Spawn"),
+            (Dispatch { pkt: SyncArrive }, "dispatch SyncArrive"),
+            (Dispatch { pkt: SyncRelease }, "dispatch SyncRelease"),
+            (
+                Send {
+                    pkt: ReadReq,
+                    dst: far,
+                },
+                "send ReadReq -> PE65535",
+            ),
+            (
+                ThreadSpawn {
+                    frame: FrameId(u16::MAX),
+                    entry: u32::MAX,
+                },
+                "spawn thread F65535 (entry 4294967295)",
+            ),
+            (
+                ThreadSpawn {
+                    frame: FrameId(0),
+                    entry: 0,
+                },
+                "spawn thread F0 (entry 0)",
+            ),
+            (
+                ThreadResume {
+                    frame: FrameId(u16::MAX),
+                },
+                "resume thread F65535",
+            ),
+            (
+                ThreadSuspend {
+                    frame: f7,
+                    cause: SuspendCause::RemoteRead,
+                },
+                "suspend thread F7 (remote-read)",
+            ),
+            (
+                ThreadSuspend {
+                    frame: f7,
+                    cause: SuspendCause::BlockRead,
+                },
+                "suspend thread F7 (block-read)",
+            ),
+            (
+                ThreadSuspend {
+                    frame: f7,
+                    cause: SuspendCause::Barrier,
+                },
+                "suspend thread F7 (barrier)",
+            ),
+            (
+                ThreadSuspend {
+                    frame: f7,
+                    cause: SuspendCause::ThreadSync,
+                },
+                "suspend thread F7 (thread-sync)",
+            ),
+            (
+                ThreadSuspend {
+                    frame: f7,
+                    cause: SuspendCause::Yield,
+                },
+                "suspend thread F7 (yield)",
+            ),
+            (ThreadRetire { frame: FrameId(0) }, "retire thread F0"),
+            (
+                Enqueue {
+                    pkt: ReadResp,
+                    priority: Priority::High,
+                    spilled: true,
+                    depth: usize::MAX,
+                },
+                "enqueue ReadResp High SPILL depth=18446744073709551615",
+            ),
+            (
+                Enqueue {
+                    pkt: Spawn,
+                    priority: Priority::Low,
+                    spilled: false,
+                    depth: 0,
+                },
+                "enqueue Spawn Low depth=0",
+            ),
+            (
+                Unspill {
+                    pkt: Write,
+                    priority: Priority::High,
+                },
+                "unspill Write High",
+            ),
+            (
+                Unspill {
+                    pkt: SyncArrive,
+                    priority: Priority::Low,
+                },
+                "unspill SyncArrive Low",
+            ),
+            (
+                DmaService {
+                    pkt: ReadBlockReq,
+                    words: u16::MAX,
+                },
+                "dma ReadBlockReq x65535",
+            ),
+            (
+                DmaService {
+                    pkt: ReadReq,
+                    words: 0,
+                },
+                "dma ReadReq x0",
+            ),
+            (
+                NetInject {
+                    pkt: SyncRelease,
+                    dst: far,
+                    hops: u32::MAX,
+                },
+                "net-inject SyncRelease -> PE65535 (4294967295 hops)",
+            ),
+            (
+                NetDeliver {
+                    pkt: ReadResp,
+                    src: far,
+                },
+                "net-deliver ReadResp <- PE65535",
+            ),
+            (DispatchEnd, "dispatch-end"),
+            (
+                FaultInjected {
+                    pkt: Write,
+                    dst: far,
+                    fault: FaultKind::Drop,
+                },
+                "fault Write -> PE65535 (drop)",
+            ),
+            (
+                FaultInjected {
+                    pkt: Write,
+                    dst: far,
+                    fault: FaultKind::Dup,
+                },
+                "fault Write -> PE65535 (dup)",
+            ),
+            (
+                FaultInjected {
+                    pkt: Write,
+                    dst: far,
+                    fault: FaultKind::Delay,
+                },
+                "fault Write -> PE65535 (delay)",
+            ),
         ];
-        for kind in evs {
-            let e = TraceEvent {
-                at: Cycle::new(7),
-                pe: PeId(0),
-                kind,
-            };
-            let s = e.to_string();
-            assert!(s.contains("PE0"), "{s}");
+        // Rotate the cycle and processor through their boundaries too;
+        // the cycle is never padded.
+        let stamps = [
+            (Cycle::ZERO, PeId(0), "0cy PE0 "),
+            (Cycle::MAX, far, "18446744073709551615cy PE65535 "),
+            (Cycle::new(1234), PeId(5), "1234cy PE5 "),
+        ];
+        for (i, (kind, body)) in table.into_iter().enumerate() {
+            let (at, pe, stamp) = stamps[i % stamps.len()];
+            let line = TraceEvent { at, pe, kind }.to_string();
+            assert_eq!(line, format!("{stamp}{body}"));
         }
     }
 

@@ -2,62 +2,74 @@
 //! into a 128-bit digest as the machine runs.
 //!
 //! Unlike the [`Recorder`](crate::Recorder), nothing is buffered — each
-//! event's canonical text rendering (its `Display` form plus a newline) is
-//! hashed immediately, so the probe costs O(1) memory on runs of any
-//! length. Because the machine emits trace events in one canonical order
-//! regardless of host shard count, the digest is the cheap way to assert
-//! that two runs produced *identical* event streams: compare 32 hex chars
-//! instead of gigabytes of trace.
+//! event's canonical line ([`TraceEvent::render`], the same bytes as its
+//! `Display` form) plus a newline is hashed immediately, piece by piece,
+//! so the probe neither allocates nor costs memory on runs of any length.
+//! The digest and the event count share one mutex, taken once per event,
+//! so a [`DigestHandle`] always reads a consistent pair — also while its
+//! probe is still attached. Because the machine emits trace events in one
+//! canonical order regardless of host shard count, the digest is the cheap
+//! way to assert that two runs produced *identical* event streams: compare
+//! 32 hex chars instead of gigabytes of trace.
 
 use std::sync::{Arc, Mutex};
 
 use emx_core::{Cycle, PeId, Probe, TraceEvent, TraceKind};
 use emx_stats::Digest128;
 
+/// What a probe and its handle share: the running digest and the number
+/// of events folded into it.
+struct State {
+    digest: Digest128,
+    events: u64,
+}
+
 /// A probe hashing every trace event into a shared [`Digest128`].
 ///
 /// Attach with `machine.attach_probe(Box::new(probe))`; read the digest
-/// through the [`DigestHandle`] after the run.
+/// through the [`DigestHandle`], during or after the run.
 pub struct DigestProbe {
-    inner: Arc<Mutex<Digest128>>,
-    count: Arc<Mutex<u64>>,
+    state: Arc<Mutex<State>>,
 }
 
 impl DigestProbe {
     /// A fresh probe plus the handle that retrieves its digest.
     pub fn new() -> (DigestProbe, DigestHandle) {
-        let inner = Arc::new(Mutex::new(Digest128::new()));
-        let count = Arc::new(Mutex::new(0));
+        let state = Arc::new(Mutex::new(State {
+            digest: Digest128::new(),
+            events: 0,
+        }));
         (
             DigestProbe {
-                inner: Arc::clone(&inner),
-                count: Arc::clone(&count),
+                state: Arc::clone(&state),
             },
-            DigestHandle { inner, count },
+            DigestHandle { state },
         )
     }
 }
 
 impl Probe for DigestProbe {
     fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
-        let line = TraceEvent { at, pe, kind }.to_string();
-        let mut d = self.inner.lock().expect("digest mutex poisoned");
-        d.write_str(&line);
-        d.write_str("\n");
-        *self.count.lock().expect("digest mutex poisoned") += 1;
+        let mut state = self.state.lock().expect("digest mutex poisoned");
+        TraceEvent { at, pe, kind }.render(|piece| state.digest.write_str(piece));
+        state.digest.write_str("\n");
+        state.events += 1;
     }
 }
 
 /// The retrieval half of a [`DigestProbe`].
 pub struct DigestHandle {
-    inner: Arc<Mutex<Digest128>>,
-    count: Arc<Mutex<u64>>,
+    state: Arc<Mutex<State>>,
 }
 
 impl DigestHandle {
     /// The 32-hex-char digest of the event stream observed so far.
     pub fn hex(&self) -> String {
-        self.inner.lock().expect("digest mutex poisoned").hex()
+        self.state
+            .lock()
+            .expect("digest mutex poisoned")
+            .digest
+            .hex()
     }
 
     /// A new probe that keeps folding into this handle's digest — attach
@@ -66,14 +78,13 @@ impl DigestHandle {
     /// comparable to one uninterrupted run.
     pub fn probe(&self) -> DigestProbe {
         DigestProbe {
-            inner: Arc::clone(&self.inner),
-            count: Arc::clone(&self.count),
+            state: Arc::clone(&self.state),
         }
     }
 
     /// Number of events hashed.
     pub fn events(&self) -> u64 {
-        *self.count.lock().expect("digest mutex poisoned")
+        self.state.lock().expect("digest mutex poisoned").events
     }
 }
 

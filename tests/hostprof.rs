@@ -3,14 +3,15 @@
 //! The contract under test (see `docs/OBSERVABILITY.md` § "Host
 //! profiling"): the deterministic `counters` section is byte-identical
 //! across `--shards` and `--jobs` values for error-free runs, arming the
-//! sweep heartbeat never changes sweep results, and the counting
-//! allocator's totals are monotone.
+//! sweep heartbeat never changes sweep results, the counting allocator's
+//! totals are monotone, and the trace-digest probe never allocates.
 //!
 //! Counters are process-global, so every test serializes on one lock and
 //! leaves the gate disabled on exit.
 
 use std::sync::Mutex;
 
+use emx::core::{FaultKind, FrameId, Probe};
 use emx::hostprof;
 use emx::prelude::*;
 use emx::sweep::{grid, ProgressConfig, SweepEngine, Workload};
@@ -149,4 +150,94 @@ fn report_digest_ignores_wall_and_meta() {
     assert_eq!(a.digest(), b.digest());
     a.snap.sim[hostprof::Sim::CalPops as usize] += 1;
     assert_ne!(a.digest(), b.digest());
+}
+
+#[test]
+fn digest_probe_does_not_allocate() {
+    let pkts = [
+        PacketKind::ReadReq,
+        PacketKind::ReadBlockReq,
+        PacketKind::ReadResp,
+        PacketKind::Write,
+        PacketKind::Spawn,
+        PacketKind::SyncArrive,
+        PacketKind::SyncRelease,
+    ];
+    let causes = [
+        SuspendCause::RemoteRead,
+        SuspendCause::BlockRead,
+        SuspendCause::Barrier,
+        SuspendCause::ThreadSync,
+        SuspendCause::Yield,
+    ];
+    let faults = [FaultKind::Drop, FaultKind::Dup, FaultKind::Delay];
+    // Every variant, with field values that vary from call to call and
+    // reach their type's maximum.
+    let kind = |i: usize| {
+        let pkt = pkts[i % pkts.len()];
+        let pe = PeId(u16::MAX - (i % 3) as u16);
+        let frame = FrameId((i * 7) as u16);
+        let priority = if i % 2 == 0 {
+            Priority::High
+        } else {
+            Priority::Low
+        };
+        match i % 13 {
+            0 => TraceKind::Dispatch { pkt },
+            1 => TraceKind::Send { pkt, dst: pe },
+            2 => TraceKind::ThreadSpawn {
+                frame,
+                entry: u32::MAX - i as u32,
+            },
+            3 => TraceKind::ThreadResume { frame },
+            4 => TraceKind::ThreadSuspend {
+                frame,
+                cause: causes[i % causes.len()],
+            },
+            5 => TraceKind::ThreadRetire { frame },
+            6 => TraceKind::Enqueue {
+                pkt,
+                priority,
+                spilled: i % 4 < 2,
+                depth: usize::MAX - i,
+            },
+            7 => TraceKind::Unspill { pkt, priority },
+            8 => TraceKind::DmaService {
+                pkt,
+                words: u16::MAX - i as u16,
+            },
+            9 => TraceKind::NetInject {
+                pkt,
+                dst: pe,
+                hops: u32::MAX - i as u32,
+            },
+            10 => TraceKind::NetDeliver { pkt, src: pe },
+            11 => TraceKind::DispatchEnd,
+            _ => TraceKind::FaultInjected {
+                pkt,
+                dst: pe,
+                fault: faults[i % faults.len()],
+            },
+        }
+    };
+    let (mut probe, handle) = DigestProbe::new();
+    // The counter is process-wide, so an allocation by the test harness's
+    // own thread can land inside one window; a probe that allocates moves
+    // every window by at least 10k. The lock is released before the
+    // asserts, so a failure here does not poison the other tests.
+    let guard = LOCK.lock().unwrap();
+    let fewest = (0..3u64)
+        .map(|round| {
+            let before = hostprof::CountingAlloc::raw_totals().0;
+            for i in 0..10_000usize {
+                let at = Cycle::new(u64::MAX - round * 10_000 - i as u64);
+                probe.on(at, PeId((i % 64) as u16), kind(i));
+            }
+            hostprof::CountingAlloc::raw_totals().0 - before
+        })
+        .min()
+        .unwrap();
+    drop(guard);
+    assert_eq!(fewest, 0, "DigestProbe::on allocated");
+    assert_eq!(handle.events(), 30_000);
 }
