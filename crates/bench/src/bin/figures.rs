@@ -19,19 +19,14 @@
 //! see `docs/WORKLOADS.md`), `scaling` (FFT processor-count scaling out to
 //! the 1024-PE limit — n = 8M at `full` scale), `bench` (criterion-free
 //! wall-clock timing of the simulator itself, written to
-//! `results/BENCH_profile.json` plus the sharded-execution throughput
-//! matrix at repo-root `BENCH_shard.json`), `all`.
+//! `results/BENCH_profile.json`), `all`.
 //!
 //! Every sweep runs through the `emx-sweep` engine: points execute in
 //! parallel (`--jobs N`, default all host cores, or `EMX_JOBS`), results
 //! assemble in grid order so the CSV output is byte-identical at any job
 //! count, and each simulated point is cached content-addressed under
 //! `results/cache/` (`--no-cache` bypasses it; delete the directory to
-//! clear it). `--shards N` additionally splits every simulated machine
-//! into N PE shards running on a host thread pool (see `docs/SHARDING.md`)
-//! — a pure host-performance knob: reports, CSVs and cache keys are
-//! byte-identical at any shard count, so cached points stay valid.
-//! Each CSV written to `results/` gets a `.json` provenance
+//! clear it). Each CSV written to `results/` gets a `.json` provenance
 //! sidecar recording the exact specs, seeds, cache keys and report digests
 //! behind it — see `docs/SWEEPS.md`.
 //!
@@ -57,7 +52,6 @@ struct Opts {
     scale: Scale,
     jobs: Option<usize>,
     no_cache: bool,
-    shards: usize,
 }
 
 impl Opts {
@@ -75,14 +69,8 @@ impl Opts {
         e
     }
 
-    /// Run specs through the engine with the session's `--shards` applied
-    /// to each. Sharding is a host-performance knob: reports, CSV bytes
-    /// and cache keys are identical at any value (`RunSpec::canonical`
-    /// deliberately omits it), so cached points remain valid.
-    fn sweep(&self, mut specs: Vec<RunSpec>) -> SweepOutcome {
-        for s in &mut specs {
-            s.shards = self.shards;
-        }
+    /// Run specs through the session's engine.
+    fn sweep(&self, specs: Vec<RunSpec>) -> SweepOutcome {
         self.engine().run(specs)
     }
 }
@@ -721,8 +709,7 @@ fn fig4() {
 /// (`emx::core::addr::MAX_PES`). At `full` scale the largest point is
 /// n = 8M (1024 PEs x 8K points/PE) — the biggest problem size the paper
 /// reports on real hardware. Runs through the engine like every other
-/// figure sweep, so `--shards N` splits each machine across N calendars
-/// (byte-identical results at any value) and finished points are cached.
+/// figure sweep, so finished points are cached.
 fn scaling(opts: &Opts) {
     use emx::core::addr::MAX_PES;
 
@@ -814,15 +801,16 @@ fn hp_fields(hp: &emx::hostprof::HostProfReport) -> String {
 }
 
 /// Criterion-free timing harness: wall-clock the simulator itself on a
-/// small bench matrix and write `results/BENCH_profile.json`. Every point
-/// is executed `REPS` times directly (never through the cache — the wall
-/// time must be real); the fastest repetition is reported, and both the
-/// report digest and the hostprof counter digest must be identical across
-/// repetitions or the harness aborts. The JSON is hand-rendered
-/// (`emx-bench/2`): `cycles`, `digest`, `hostprof_digest` and the
-/// `counters`/`host` objects are deterministic; `wall_ns`, the `wall`
-/// object and `host_threads` are host-dependent annotations, excluded
-/// from every digest.
+/// small bench matrix and write `results/BENCH_profile.json`. The matrix is
+/// sort and FFT at P=16 with h = 1 and 4, plus both at P=64 with h = 4.
+/// Every point is executed `REPS` times directly (never through the cache
+/// — the wall time must be real); the fastest repetition is reported, and
+/// both the report digest and the hostprof counter digest must be
+/// identical across repetitions or the harness aborts. The JSON is
+/// hand-rendered (`emx-bench/2`): `cycles`, `digest`, `hostprof_digest`
+/// and the `counters`/`host` objects are deterministic; `wall_ns`, the
+/// `wall` object and `host_threads` are host-dependent annotations,
+/// excluded from every digest.
 fn bench(opts: &Opts) {
     use emx::stats::report_digest;
 
@@ -830,8 +818,17 @@ fn bench(opts: &Opts) {
     println!("\n=== bench: simulator wall-clock timing ({REPS} reps, uncached) ===");
     emx::hostprof::set_enabled(true);
 
-    let p = 16;
-    let threads = [1usize, 4];
+    let workloads = [Workload::Sort, Workload::Fft];
+    let size = |w: Workload| sizes_for(w, opts.scale)[0];
+    let mut specs = Vec::new();
+    for w in workloads {
+        for h in [1, 4] {
+            specs.push(RunSpec::new(w, 16, size(w), h));
+        }
+    }
+    for w in workloads {
+        specs.push(RunSpec::new(w, 64, size(w), 4));
+    }
     let mut table = Table::new([
         "workload",
         "P",
@@ -842,54 +839,49 @@ fn bench(opts: &Opts) {
         "digest",
     ]);
     let mut entries = Vec::new();
-    for w in [Workload::Sort, Workload::Fft] {
-        let r = sizes_for(w, opts.scale)[0];
-        for &h in &threads {
-            let spec = RunSpec::new(w, p, r, h);
-            let mut best_ns = u64::MAX;
-            let mut report = None;
-            let mut digest = String::new();
-            let mut hp_json = String::new();
-            let mut hp_digest = String::new();
-            for rep in 0..REPS {
-                let (out, ns, hp) = timed_rep(&spec);
-                let d = report_digest(&out);
-                if rep == 0 {
-                    digest = d;
-                    hp_digest = hp.digest();
-                } else {
-                    assert_eq!(d, digest, "{}: nondeterministic report", spec.label());
-                    assert_eq!(
-                        hp.digest(),
-                        hp_digest,
-                        "{}: nondeterministic hostprof counters",
-                        spec.label()
-                    );
-                }
-                if ns < best_ns {
-                    best_ns = ns;
-                }
-                hp_json = hp_fields(&hp);
-                report = Some(out);
+    for spec in &specs {
+        let (w, p, h, r) = (spec.workload, spec.pes, spec.threads, spec.per_pe);
+        let mut best_ns = u64::MAX;
+        let mut report = None;
+        let mut digest = String::new();
+        let mut hp_json = String::new();
+        let mut hp_digest = String::new();
+        for rep in 0..REPS {
+            let (out, ns, hp) = timed_rep(spec);
+            let d = report_digest(&out);
+            if rep == 0 {
+                digest = d;
+                hp_digest = hp.digest();
+            } else {
+                assert_eq!(d, digest, "{}: nondeterministic report", spec.label());
+                assert_eq!(
+                    hp.digest(),
+                    hp_digest,
+                    "{}: nondeterministic hostprof counters",
+                    spec.label()
+                );
             }
-            let cycles = report.expect("at least one rep ran").elapsed.get();
-            table.row([
-                w.name().to_string(),
-                p.to_string(),
-                h.to_string(),
-                fmt_n(r),
-                cycles.to_string(),
-                format!("{:.3}", best_ns as f64 / 1e6),
-                digest.clone(),
-            ]);
-            entries.push(format!(
-                "    {{\"workload\": \"{}\", \"p\": {p}, \"h\": {h}, \"r\": {r}, \
-                 \"n\": {}, \"cycles\": {cycles}, \"wall_ns\": {best_ns}, \
-                 \"digest\": \"{digest}\",\n     {hp_json}}}",
-                w.name(),
-                spec.n(),
-            ));
+            best_ns = best_ns.min(ns);
+            hp_json = hp_fields(&hp);
+            report = Some(out);
         }
+        let cycles = report.expect("at least one rep ran").elapsed.get();
+        table.row([
+            w.name().to_string(),
+            p.to_string(),
+            h.to_string(),
+            fmt_n(r),
+            cycles.to_string(),
+            format!("{:.3}", best_ns as f64 / 1e6),
+            digest.clone(),
+        ]);
+        entries.push(format!(
+            "    {{\"workload\": \"{}\", \"p\": {p}, \"h\": {h}, \"r\": {r}, \
+             \"n\": {}, \"cycles\": {cycles}, \"wall_ns\": {best_ns}, \
+             \"digest\": \"{digest}\",\n     {hp_json}}}",
+            w.name(),
+            spec.n(),
+        ));
     }
     println!("{}", table.render());
 
@@ -907,103 +899,13 @@ fn bench(opts: &Opts) {
             println!("  [json] {}", path.display());
         }
     }
-
-    bench_shards(opts);
     emx::hostprof::set_enabled(false);
-}
-
-/// Shard-count timing: simulated cycles/second for each workload at shard
-/// counts 1/2/4/8, written to repo-root `BENCH_shard.json`
-/// (`emx-bench-shard/2`). Every point runs P=64 so the shards have real
-/// cross-shard traffic; the report digest *and* the hostprof counters
-/// digest are asserted identical across every shard count — this doubles
-/// as a determinism smoke test on the exact configurations being timed.
-/// `cycles`, `digest`, `hostprof_digest` and the `counters` object are
-/// deterministic at any shard count; the `host` object is deterministic
-/// per shard count (window rounds, barrier stalls, cross-shard hops —
-/// the fields that localize where sharding overhead goes); `wall_ns`,
-/// `cycles_per_sec`, the `wall` object and `host_threads` are host
-/// timing and vary run to run.
-fn bench_shards(opts: &Opts) {
-    use emx::stats::report_digest;
-
-    const REPS: usize = 3;
-    const SHARDS: [usize; 4] = [1, 2, 4, 8];
-    let (p, h) = (64, 4);
-    println!("\n=== bench: sharded execution throughput ({REPS} reps, P={p}, uncached) ===");
-
-    let mut table = Table::new(["workload", "shards", "cycles", "wall (ms)", "Mcycles/s"]);
-    let mut entries = Vec::new();
-    for w in [Workload::Sort, Workload::Fft] {
-        let r = sizes_for(w, opts.scale)[0];
-        let mut oracle_digest = String::new();
-        let mut oracle_hp = String::new();
-        for &shards in &SHARDS {
-            let mut spec = RunSpec::new(w, p, r, h);
-            spec.shards = shards;
-            let mut best_ns = u64::MAX;
-            let mut cycles = 0u64;
-            let mut hp_json = String::new();
-            for _ in 0..REPS {
-                let (out, ns, hp) = timed_rep(&spec);
-                let d = report_digest(&out);
-                if shards == SHARDS[0] && oracle_digest.is_empty() {
-                    oracle_digest = d;
-                    oracle_hp = hp.digest();
-                } else {
-                    assert_eq!(
-                        d,
-                        oracle_digest,
-                        "{}: sharded run diverged from the oracle",
-                        spec.label()
-                    );
-                    assert_eq!(
-                        hp.digest(),
-                        oracle_hp,
-                        "{}: hostprof counters diverged from the oracle",
-                        spec.label()
-                    );
-                }
-                best_ns = best_ns.min(ns);
-                cycles = out.elapsed.get();
-                hp_json = hp_fields(&hp);
-            }
-            let mcps = cycles as f64 / (best_ns as f64 / 1e9) / 1e6;
-            table.row([
-                w.name().to_string(),
-                shards.to_string(),
-                cycles.to_string(),
-                format!("{:.3}", best_ns as f64 / 1e6),
-                format!("{mcps:.2}"),
-            ]);
-            entries.push(format!(
-                "    {{\"workload\": \"{}\", \"p\": {p}, \"h\": {h}, \"r\": {r}, \
-                 \"shards\": {shards}, \"cycles\": {cycles}, \"wall_ns\": {best_ns}, \
-                 \"cycles_per_sec\": {:.0}, \"digest\": \"{oracle_digest}\",\n     {hp_json}}}",
-                w.name(),
-                cycles as f64 / (best_ns as f64 / 1e9),
-            ));
-        }
-    }
-    println!("{}", table.render());
-
-    let json = format!(
-        "{{\n  \"schema\": \"emx-bench-shard/2\",\n  \"scale\": \"{}\",\n  \"reps\": {REPS},\n  \
-         \"host_threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-        opts.scale.name(),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        entries.join(",\n"),
-    );
-    let path = Path::new("BENCH_shard.json");
-    if fs::write(path, &json).is_ok() {
-        println!("  [json] {}", path.display());
-    }
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: figures [fig4|fig6|fig7|fig8|fig9|latency|model|ablation|block|priority|runlength|topology|workloads|scaling|bench|all]\n\
-         \x20              [quick|standard|full] [--jobs N] [--shards N] [--no-cache]"
+         \x20              [quick|standard|full] [--jobs N] [--no-cache]"
     );
     std::process::exit(2);
 }
@@ -1013,7 +915,6 @@ fn main() {
     let mut positional = Vec::new();
     let mut jobs = None;
     let mut no_cache = false;
-    let mut shards = 1;
     let mut it = raw.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -1021,13 +922,6 @@ fn main() {
                 Some(n) if n >= 1 => jobs = Some(n),
                 _ => {
                     eprintln!("--jobs needs a positive integer");
-                    usage();
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => {
-                    eprintln!("--shards needs a positive integer");
                     usage();
                 }
             },
@@ -1056,7 +950,6 @@ fn main() {
         scale,
         jobs,
         no_cache,
-        shards,
     };
 
     println!("EM-X figure regeneration -- {cmd} at {scale:?} scale");

@@ -229,20 +229,6 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan; `None` (the default) is the
     /// paper's lossless machine with no fault machinery armed at all.
     pub faults: Option<FaultSpec>,
-    /// Host-side shard count for parallel execution. The machine is split
-    /// into this many disjoint PE groups, each simulated on its own host
-    /// thread and synchronized conservatively at the network's minimum
-    /// latency. Purely a host-performance knob: results are byte-identical
-    /// at any value. 1 (the default) runs the single-calendar oracle loop.
-    #[serde(default = "default_shards")]
-    pub shards: usize,
-}
-
-// Referenced by the `serde(default)` attribute above; the offline derive
-// stand-in emits no code, so the compiler cannot see that use.
-#[allow(dead_code)]
-fn default_shards() -> usize {
-    1
 }
 
 impl Default for MachineConfig {
@@ -260,7 +246,6 @@ impl Default for MachineConfig {
             costs: CostModel::default(),
             net: NetConfig::default(),
             faults: None,
-            shards: 1,
         }
     }
 }

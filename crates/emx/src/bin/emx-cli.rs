@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! emx-cli run     <sort|fft|bfs|histogram|spmv|stencil> --pes 64 --n 4096 --threads 4
-//!                 [--shards S] [--comm-only] [--seed N] [--net MODEL] [--preset paper|modern] [--csv]
+//!                 [--comm-only] [--seed N] [--net MODEL] [--preset paper|modern] [--csv]
 //!                 [--kill-after EVENTS] [--hostprof]
 //! emx-cli sort    --pes 16 --n 16384 --threads 4 [--dist uniform] [--seed 1] [--block] [--em4] [--csv]
 //! emx-cli fft     --pes 16 --n 16384 --threads 4 [--comm-only] [--csv]
@@ -46,12 +46,8 @@
 //! `run` executes one workload with the streaming trace digest attached
 //! and prints the run report followed by two stable fingerprints: a
 //! `report digest:` line (canonical report text) and the final `digest:`
-//! line hashing the complete `emx-trace` event stream. Because sharded
-//! execution is byte-deterministic, both lines must be identical at any
-//! `--shards` value — the shard smoke test in CI asserts exactly that.
-//! Every subcommand taking machine options also accepts `--shards S` to
-//! split the simulated machine across S host threads (see
-//! `docs/SHARDING.md`).
+//! line hashing the complete `emx-trace` event stream. CI pins both lines
+//! for fixed configurations.
 //!
 //! `trace` runs a workload with the observability recorder attached and
 //! exports the `emx-trace/2` event stream as Chrome-trace/Perfetto JSON
@@ -76,11 +72,10 @@
 //! `emx-hostprof` host-side counters and appends the digest-stamped
 //! `emx-hostprof/1` report to stdout: deterministic simulation-work
 //! counters (calendar pushes/pops, per-lane events, queue and DMA
-//! traffic, replay emissions — byte-identical at any `--shards`/`--jobs`
-//! value), host-structure counters (driver windows, cross-shard hops,
-//! sweep cache hits) and wall-clock annotations (shard compute/barrier/
-//! replay time, allocator traffic). `bench-diff` compares an
-//! `emx-bench/2` / `emx-bench-shard/2` file against its committed
+//! traffic, trace emissions — byte-identical at any `--jobs` value),
+//! host-structure counters (sweep points and cache hits) and wall-clock
+//! annotations (sweep and journal time, allocator traffic). `bench-diff`
+//! compares an `emx-bench/2` file against its committed
 //! baseline (default under `results/baselines/`): deterministic fields
 //! (cycles, digests, counters) are hard-gated by `--threshold` (default
 //! 0 ppm — exact) and exit 3 on drift; wall-clock annotations only warn
@@ -122,17 +117,16 @@
 //! stable `digest:` line over the scan listing.
 //!
 //! Exit codes: 0 success; 1 runtime error; 2 usage error (unknown
-//! command/subcommand or missing required argument); 3 drift
+//! command/subcommand/flag or missing required argument); 3 drift
 //! (`profile-diff`, `bench-diff`); 4 syntactically invalid argument
 //! value. The table is documented in README.md and relied on by scripts
 //! and CI.
 //!
 //! `fuzz run` drives the deterministic fuzzing campaign (`emx-fuzz`):
 //! seeded random programs crossed with random machine shapes and fault
-//! plans, each judged by the four-way replay/shard/checkpoint/invariant
-//! oracle. The
-//! summary is byte-identical for the same `--cases`/`--seed` pair and ends
-//! with the canonical `digest:` line; the exit code is nonzero when any
+//! plans, each judged by the three-way replay/checkpoint/invariant oracle.
+//! The summary is byte-identical for the same `--cases`/`--seed` pair and
+//! ends with the canonical `digest:` line; the exit code is nonzero when any
 //! oracle failure was recorded. `--perturb` (or `EMX_FUZZ_PERTURB=1`)
 //! arms the test-only network-latency mutation that a sound oracle must
 //! catch as digest mismatches. `fuzz replay` re-runs committed `.emxfuzz`
@@ -271,7 +265,6 @@ fn machine_cfg(args: &Args, default_pes: usize) -> Result<MachineConfig, String>
     if let Some(preset) = args.get("preset") {
         parse_preset(preset)?.apply(&mut cfg);
     }
-    cfg.shards = args.usize_or("shards", 1)?;
     Ok(cfg)
 }
 
@@ -400,11 +393,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     };
     if !args.has("csv") {
         println!(
-            "{workload}: {} elements on {} PEs, h={}, {} shard(s), {} trace events",
+            "{workload}: {} elements on {} PEs, h={}, {} trace events",
             n,
             cfg.num_pes,
             threads,
-            cfg.shards,
             handle.events()
         );
     }
@@ -418,7 +410,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             ("pes".to_string(), cfg.num_pes.to_string()),
             ("n".to_string(), n.to_string()),
             ("threads".to_string(), threads.to_string()),
-            ("shards".to_string(), cfg.shards.to_string()),
         ]);
     }
     Ok(())
@@ -790,11 +781,11 @@ fn bench_diff_inner(args: &Args) -> Result<emx::hostprof::DriftKind, String> {
     Ok(d.outcome)
 }
 
-/// Parse an `emx-bench/2` / `emx-bench-shard/2` JSON file into the
-/// structures [`emx::hostprof::diff_bench`] compares. Deterministic
-/// per-point fields (the `counters` and `host` objects) land in
-/// `counters`; wall-clock annotations (the `wall` object plus the
-/// top-level `wall_ns` / `cycles_per_sec`) land in `wall`.
+/// Parse an `emx-bench/2` JSON file into the structures
+/// [`emx::hostprof::diff_bench`] compares. Deterministic per-point fields
+/// (the `counters` and `host` objects) land in `counters`; wall-clock
+/// annotations (the `wall` object plus the top-level `wall_ns`) land in
+/// `wall`.
 fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
     use emx::obs::JsonValue;
     let v = emx::obs::parse_json(text)?;
@@ -830,7 +821,7 @@ fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
     for (i, p) in arr.iter().enumerate() {
         let workload = str_field(p, "workload").map_err(|e| format!("point {i}: {e}"))?;
         let mut key = workload;
-        for k in ["p", "h", "r", "shards"] {
+        for k in ["p", "h", "r"] {
             if let Some(n) = num(p, k) {
                 key.push_str(&format!(" {k}={n}"));
             }
@@ -844,10 +835,8 @@ fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
         let mut counters = kvs(p, "counters");
         counters.extend(kvs(p, "host"));
         let mut wall = kvs(p, "wall");
-        for k in ["wall_ns", "cycles_per_sec"] {
-            if let Some(n) = num(p, k) {
-                wall.push((k.to_string(), n));
-            }
+        if let Some(n) = num(p, "wall_ns") {
+            wall.push(("wall_ns".to_string(), n));
         }
         points.push(emx::hostprof::BenchPoint {
             key,
@@ -1004,12 +993,10 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let threads = parse_list("threads", args.get("threads").unwrap_or("1,2,4,8"))?;
 
     let mut engine = engine_from_args(args)?;
-    let shards = args.usize_or("shards", 1)?;
     let net_model = args.get("net").map(parse_net).transpose()?;
     let preset = args.get("preset").map(parse_preset).transpose()?;
     let mut specs = grid(workload, pes, &sizes, &threads);
     for s in &mut specs {
-        s.shards = shards;
         if let Some(net) = net_model {
             s.net_model = net;
         }
@@ -1047,7 +1034,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             ("figure".to_string(), figure),
             ("points".to_string(), outcome.points.len().to_string()),
             ("jobs".to_string(), outcome.jobs.to_string()),
-            ("shards".to_string(), shards.to_string()),
         ]);
     }
     Ok(())
@@ -1081,7 +1067,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let backoff_cap = args.u64_or("backoff-cap", 4096)? as u32;
     let max_attempts = args.u64_or("max-attempts", 0)? as u32;
     let check = args.has("check-invariants");
-    let shards = args.usize_or("shards", 1)?;
     let net_model = args.get("net").map(parse_net).transpose()?;
     let preset = args.get("preset").map(parse_preset).transpose()?;
 
@@ -1114,7 +1099,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
                 // leave the fault machinery unarmed so the run (and its
                 // digest and cache entry) is identical to a plain sweep.
                 spec.faults = (!fs.is_noop()).then_some(fs);
-                spec.shards = shards;
                 specs.push(spec);
             }
         }
@@ -1164,7 +1148,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
             ("figure".to_string(), figure),
             ("points".to_string(), outcome.points.len().to_string()),
             ("jobs".to_string(), outcome.jobs.to_string()),
-            ("shards".to_string(), shards.to_string()),
         ]);
     }
     Ok(())
@@ -1481,9 +1464,67 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 
 const USAGE: &str = "usage: emx-cli <run|sort|fft|trace|metrics|profile|profile-diff|bench-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
 
-/// Usage-shape validation (exit 2): the command and its subcommand /
-/// required positionals must exist before any work starts.
+/// Every `--flag` some subcommand reads; anything else is a usage error.
+const KNOWN_FLAGS: [&str; 46] = [
+    "backoff-cap",
+    "baseline-dir",
+    "block",
+    "cases",
+    "check",
+    "check-invariants",
+    "comm-only",
+    "csv",
+    "delay",
+    "dir",
+    "dist",
+    "dry-run",
+    "dup",
+    "em4",
+    "events",
+    "format",
+    "hostprof",
+    "jobs",
+    "journal",
+    "json",
+    "kill-after",
+    "loss",
+    "max-attempts",
+    "max-delay",
+    "memory-words",
+    "n",
+    "net",
+    "no-cache",
+    "out",
+    "packets",
+    "perturb",
+    "pes",
+    "preset",
+    "priority-responses",
+    "progress",
+    "readers",
+    "reads",
+    "seed",
+    "shrink-failures",
+    "sizes",
+    "threads",
+    "threshold",
+    "timeout",
+    "wall-threshold",
+    "watchdog-ms",
+    "workload",
+];
+
+/// Usage-shape validation (exit 2): every flag must be one some subcommand
+/// reads, and the command and its subcommand / required positionals must
+/// exist before any work starts.
 fn validate_shape(cmd: &str, args: &Args) -> Result<(), String> {
+    if let Some((flag, _)) = args
+        .flags
+        .iter()
+        .find(|(f, _)| !KNOWN_FLAGS.contains(&f.as_str()))
+    {
+        return Err(format!("unknown flag --{flag}"));
+    }
     match cmd {
         "fuzz" => match args.positional.first().map(String::as_str) {
             Some("run" | "replay" | "shrink") => Ok(()),
@@ -1586,6 +1627,25 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("emx-cli: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::KNOWN_FLAGS;
+
+    #[test]
+    fn known_flags_cover_every_flag_read() {
+        let src = include_str!("emx-cli.rs");
+        for pat in ["args.get(\"", "args.has(\"", "usize_or(\"", "u64_or(\""] {
+            for chunk in src.split(pat).skip(1) {
+                let name = &chunk[..chunk.find('"').unwrap()];
+                assert!(
+                    KNOWN_FLAGS.contains(&name),
+                    "--{name} missing from KNOWN_FLAGS"
+                );
+            }
         }
     }
 }

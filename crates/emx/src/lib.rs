@@ -22,7 +22,7 @@
 //! | [`model`] | the Saavedra-Barrera analytic multithreading model |
 //! | [`stats`] | breakdowns, switch censuses, reporters, stable digests |
 //! | [`sweep`] | parallel deterministic cached sweep engine + provenance |
-//! | [`fuzz`] | deterministic fuzzing: random programs, replay/shard oracle, shrinking |
+//! | [`fuzz`] | deterministic fuzzing: random programs, replay/checkpoint oracle, shrinking |
 //! | [`faults`] | deterministic fault injection, invariant checking |
 //! | [`obs`] | trace recorder, Perfetto/Chrome-trace + CSV export, metrics |
 //! | [`profile`] | trace-driven profiler: attribution, read blame, critical path |

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use emx_core::{Cycle, FaultKind, PacketKind, PeId, Probe, TraceKind};
-use emx_net::{Deliveries, DeliveryClass, FaultCounters, LatencyBound, NetStats, Network};
+use emx_net::{Deliveries, DeliveryClass, FaultCounters, NetStats, Network};
 
 use crate::rng::{FaultPlan, Rng64};
 
@@ -142,16 +142,6 @@ impl Network for FaultyNetwork {
 
     fn hops(&self, src: PeId, dst: PeId) -> u32 {
         self.inner.hops(src, dst)
-    }
-
-    fn latency_bound(&self) -> LatencyBound {
-        // Faults only ever delay, drop, or duplicate-behind, so the inner
-        // model's floors still hold — but loopback draws from the seeded
-        // fault stream like everything else, so it is no longer pure.
-        LatencyBound {
-            pure_local: None,
-            ..self.inner.latency_bound()
-        }
     }
 
     fn stats(&self) -> &NetStats {

@@ -118,8 +118,8 @@ impl FaultPlan {
     ///
     /// Per-PE streams (rather than one machine-global stream consumed in
     /// event order) make each processor's fault decisions a function of the
-    /// seed and that processor alone, so a machine partitioned into shards
-    /// draws exactly the faults a single-calendar run draws.
+    /// seed and that processor alone, independent of how other processors'
+    /// events interleave.
     pub fn spill_rng_for(&self, pe: usize) -> Rng64 {
         Rng64::new(mix(mix(self.spec.seed, 0x0053_504C), pe as u64 + 1))
     }

@@ -43,7 +43,8 @@ pub fn generate(seed: u64) -> CaseSpec {
         },
     };
     case.ibu_capacity = pick(&mut rng, &[2, 4, 8]);
-    case.shards = pick(&mut rng, &[1, 1, 2, 2, 4]).min(pes);
+    // The former shard-count draw, kept so every generated case stays the same.
+    let _ = pick(&mut rng, &[1, 1, 2, 2, 4]);
     case.service_mode = if rng.chance_ppm(200_000) {
         ServiceMode::ExuThread
     } else {

@@ -5,14 +5,12 @@
 //! EM-X programs — thread graphs mixing remote reads and writes, block
 //! reads, spawns, sequence-cell sync, and barriers — crosses them with a
 //! seeded lattice of machine shapes and fault plans, and holds every run
-//! to a four-way oracle:
+//! to a three-way oracle:
 //!
 //! 1. the **invariant checker** (always armed),
 //! 2. **replay-digest equality** — the identical configuration rerun must
-//!    reproduce the trace digest byte for byte,
-//! 3. **shard equivalence** — the sharded driver must match the
-//!    single-calendar oracle exactly, and
-//! 4. **checkpoint transparency** — snapshot mid-run, restore into a
+//!    reproduce the trace digest byte for byte, and
+//! 3. **checkpoint transparency** — snapshot mid-run, restore into a
 //!    fresh shell, finish: the stitched fingerprint must match the
 //!    uninterrupted reference.
 //!

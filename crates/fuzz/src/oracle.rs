@@ -1,16 +1,14 @@
-//! The four-way oracle: run a case and judge it.
+//! The three-way oracle: run a case and judge it.
 //!
-//! Every case is executed up to four times, always fuel-bounded and with
-//! the invariant checker armed:
+//! Every case is executed three times, always fuel-bounded and with the
+//! invariant checker armed:
 //!
 //! 1. **Reference run** — single calendar. Structural failures surface
 //!    here: a deadlock, fuel exhaustion, an invariant violation.
 //! 2. **Replay run** — identical configuration. The complete fingerprint
 //!    (outcome, `emx-trace` stream digest, event count, canonical report
 //!    text) must be byte-identical; any difference is nondeterminism.
-//! 3. **Shard run** — `shards = k` from the case. The sharded driver must
-//!    reproduce the single-calendar fingerprint byte for byte.
-//! 4. **Checkpoint run** — step to a seed-derived event index, snapshot
+//! 3. **Checkpoint run** — step to a seed-derived event index, snapshot
 //!    (`emx-snap`), restore into a fresh shell, and run that to
 //!    completion. The stitched fingerprint — trace digest continued
 //!    across the restore, final report, outcome — must match the
@@ -47,8 +45,6 @@ pub enum Verdict {
     Invariant,
     /// The replay run's fingerprint differed from the reference run.
     DigestMismatch,
-    /// The sharded run's fingerprint differed from the single-calendar run.
-    ShardDivergence,
     /// The checkpoint/restore run's fingerprint differed from the
     /// reference run, or snapshotting itself failed.
     CheckpointDivergence,
@@ -73,7 +69,6 @@ impl Verdict {
             Verdict::FuelExhausted => "fuel-exhausted".into(),
             Verdict::Invariant => "invariant".into(),
             Verdict::DigestMismatch => "digest-mismatch".into(),
-            Verdict::ShardDivergence => "shard-divergence".into(),
             Verdict::CheckpointDivergence => "checkpoint-divergence".into(),
             Verdict::Panic => "panic".into(),
         }
@@ -87,7 +82,6 @@ impl Verdict {
             "fuel-exhausted" => Verdict::FuelExhausted,
             "invariant" => Verdict::Invariant,
             "digest-mismatch" => Verdict::DigestMismatch,
-            "shard-divergence" => Verdict::ShardDivergence,
             "checkpoint-divergence" => Verdict::CheckpointDivergence,
             "panic" => Verdict::Panic,
             other => Verdict::Error(other.strip_prefix("error:")?.to_string()),
@@ -325,11 +319,10 @@ pub fn error_kind(e: &SimError) -> &'static str {
     }
 }
 
-/// Expand a case into a machine configuration. `shards` overrides the
-/// case's shard count (the reference and replay arms force 1); `perturb`
-/// is the test-only mutation hook: it nudges the network latency by one
+/// Expand a case into a machine configuration. `perturb` is the
+/// test-only mutation hook: it nudges the network latency by one
 /// cycle so the replay oracle demonstrably catches behavior changes.
-fn machine_config(case: &CaseSpec, shards: usize, perturb: bool) -> MachineConfig {
+fn machine_config(case: &CaseSpec, perturb: bool) -> MachineConfig {
     let mut cfg = MachineConfig::with_pes(case.pes);
     cfg.local_memory_words = case.memory_words;
     cfg.ibu_fifo_capacity = case.ibu_capacity;
@@ -337,7 +330,6 @@ fn machine_config(case: &CaseSpec, shards: usize, perturb: bool) -> MachineConfi
     cfg.service_mode = case.service_mode;
     cfg.priority_read_responses = case.priority_read_responses;
     cfg.net.model = case.net;
-    cfg.shards = shards;
     let mut faults = case.faults.clone();
     faults.check_invariants = true;
     cfg.faults = Some(faults);
@@ -365,8 +357,8 @@ struct RunResult {
 /// entry table, and initial threads. The entry table is identical on every
 /// call, which is what lets a checkpoint from one build restore into a
 /// fresh shell from another.
-fn build_machine(case: &CaseSpec, shards: usize, perturb: bool) -> Result<Machine, SimError> {
-    let cfg = machine_config(case, shards, perturb);
+fn build_machine(case: &CaseSpec, perturb: bool) -> Result<Machine, SimError> {
+    let cfg = machine_config(case, perturb);
     let mut m = Machine::new(cfg)?;
     if case.seq_cells > 0 {
         m.define_seq_cells(case.seq_cells);
@@ -421,8 +413,8 @@ fn fingerprint_of(
 /// Execute the case once and collect its fingerprint. Never panics for a
 /// buildable case: setup failures fold into the fingerprint too, so the
 /// arms stay comparable.
-fn exec(case: &CaseSpec, shards: usize, perturb: bool) -> RunResult {
-    let mut m = match build_machine(case, shards, perturb) {
+fn exec(case: &CaseSpec, perturb: bool) -> RunResult {
+    let mut m = match build_machine(case, perturb) {
         Ok(m) => m,
         Err(e) => return setup_failure(e),
     };
@@ -438,7 +430,7 @@ fn exec(case: &CaseSpec, shards: usize, perturb: bool) -> RunResult {
 /// restore so the stitched fingerprint is comparable to one uninterrupted
 /// run. `Err` carries a snapshot-machinery failure (itself a bug).
 fn exec_checkpoint(case: &CaseSpec, k: u64) -> Result<RunResult, String> {
-    let mut m = match build_machine(case, 1, false) {
+    let mut m = match build_machine(case, false) {
         Ok(m) => m,
         Err(e) => return Ok(setup_failure(e)),
     };
@@ -455,8 +447,7 @@ fn exec_checkpoint(case: &CaseSpec, k: u64) -> Result<RunResult, String> {
     let snap = m
         .snapshot()
         .map_err(|e| format!("snapshot at event {k} failed: {e}"))?;
-    let mut shell =
-        build_machine(case, 1, false).map_err(|e| format!("shell rebuild failed: {e}"))?;
+    let mut shell = build_machine(case, false).map_err(|e| format!("shell rebuild failed: {e}"))?;
     shell.attach_probe(Box::new(handle.probe()));
     shell
         .restore(&snap)
@@ -487,34 +478,21 @@ fn verdict_for_error(e: &SimError) -> Verdict {
     }
 }
 
-/// Run the full four-way oracle on `case`.
+/// Run the full three-way oracle on `case`.
 ///
 /// `perturb_replay` is the mutation hook: when set, the replay arm runs
 /// with a one-cycle network-latency perturbation, which a sound oracle
 /// must report as [`Verdict::DigestMismatch`] for any case with network
 /// traffic.
 pub fn run_case(case: &CaseSpec, perturb_replay: bool) -> CaseOutcome {
-    let reference = exec(case, 1, false);
-    let replay = exec(case, 1, perturb_replay);
+    let reference = exec(case, false);
+    let replay = exec(case, perturb_replay);
     if replay.fp != reference.fp {
         return CaseOutcome {
             verdict: Verdict::DigestMismatch,
             trace_digest: reference.fp.trace_digest,
             detail: "replay run diverged from the reference run".into(),
         };
-    }
-    if case.shards > 1 {
-        let sharded = exec(case, case.shards, false);
-        if sharded.fp != reference.fp {
-            return CaseOutcome {
-                verdict: Verdict::ShardDivergence,
-                trace_digest: reference.fp.trace_digest,
-                detail: format!(
-                    "shards={} run diverged from the single-calendar oracle",
-                    case.shards
-                ),
-            };
-        }
     }
     // Checkpoint arm: pause at a seed-derived event index (spread over a
     // prime span so nearby seeds land on different boundaries), restore
@@ -565,7 +543,7 @@ mod tests {
             .join("../../tests/corpus/pass-checkpoint-halo-rmw.emxfuzz");
         let case = CaseSpec::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         let k = 1 + case.seed % 97;
-        let mut m = build_machine(&case, 1, false).unwrap();
+        let mut m = build_machine(&case, false).unwrap();
         assert!(
             m.step_events(k, Cycle::new(case.fuel)).unwrap().is_none(),
             "case quiesced before event {k}; the checkpoint arm never fires mid-run"

@@ -2,9 +2,8 @@
 //!
 //! Given a case whose oracle verdict is a failure, the shrinker repeatedly
 //! tries strictly-smaller candidate cases — fewer roots, fewer ops, fewer
-//! programs, fewer processors, weaker fault plans, fewer shards, cheaper
-//! ops — and keeps any candidate that still reproduces the *same* verdict.
-//! The search is a fixpoint over a fixed candidate order with no
+//! programs, fewer processors, weaker fault plans, cheaper ops — and keeps
+//! any candidate that still reproduces the *same* verdict. The search is a fixpoint over a fixed candidate order with no
 //! randomness, so shrinking the same case always yields the same minimized
 //! case.
 
@@ -16,7 +15,7 @@ use crate::oracle::{run_case, Verdict};
 /// Knobs for one shrink run.
 #[derive(Debug, Clone)]
 pub struct ShrinkOptions {
-    /// Hard cap on oracle executions (each candidate costs up to four
+    /// Hard cap on oracle executions (each candidate costs three
     /// simulator runs).
     pub max_attempts: usize,
 }
@@ -97,15 +96,14 @@ pub fn shrink(case: &CaseSpec, opts: &ShrinkOptions) -> ShrinkResult {
 }
 
 /// All strictly-smaller candidates for one round, in fixed priority order:
-/// structural cuts first (roots, ops, programs), then machine folds (PEs,
-/// shards), then fault-plan and op-cost weakening.
+/// structural cuts first (roots, ops, programs), then processor folds,
+/// then fault-plan and op-cost weakening.
 fn candidates(base: &CaseSpec) -> Vec<CaseSpec> {
     let mut out = Vec::new();
     remove_roots(base, &mut out);
     remove_ops(base, &mut out);
     drop_unreferenced_programs(base, &mut out);
     fold_pes(base, &mut out);
-    reduce_shards(base, &mut out);
     weaken_faults(base, &mut out);
     cheapen_ops(base, &mut out);
     out
@@ -198,7 +196,6 @@ fn fold_pes(base: &CaseSpec, out: &mut Vec<CaseSpec>) {
     for new_pes in targets {
         let mut c = base.clone();
         c.pes = new_pes;
-        c.shards = c.shards.min(new_pes);
         let fold = |pe: &mut u16| *pe %= new_pes as u16;
         for r in &mut c.roots {
             fold(&mut r.pe);
@@ -215,19 +212,6 @@ fn fold_pes(base: &CaseSpec, out: &mut Vec<CaseSpec>) {
                 }
             }
         }
-        out.push(c);
-    }
-}
-
-fn reduce_shards(base: &CaseSpec, out: &mut Vec<CaseSpec>) {
-    if base.shards > 2 {
-        let mut c = base.clone();
-        c.shards = 2;
-        out.push(c);
-    }
-    if base.shards > 1 {
-        let mut c = base.clone();
-        c.shards = 1;
         out.push(c);
     }
 }

@@ -6,16 +6,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Deterministic simulation-work counters (the digested `counters`
-/// section). Byte-identical across `--shards` and `--jobs` for error-free
-/// runs: both drivers pop the same event set and funnel every effect
-/// through the same replay chokepoint.
+/// section). Byte-identical across `--jobs` values for error-free runs:
+/// each run counts its own events, and sums are order-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Sim {
     /// Semantic calendar insertions (`Calendar::push`), counted once per
-    /// event — shard split/restore re-insertions are excluded.
+    /// event — snapshot-restore re-insertions are excluded.
     CalPushes,
-    /// Calendar pops across all calendars (oracle or per-shard).
+    /// Calendar pops.
     CalPops,
     /// Events processed on the dispatch lane (lane 0).
     EvDispatch,
@@ -37,27 +36,20 @@ pub enum Sim {
     DmaServices,
     /// Outbound DMA (OBU) packet departures onto the network.
     DmaDeparts,
-    /// Buffered trace emissions replayed in canonical merged order.
+    /// Trace lines emitted by event handlers (excluding the `Send` and
+    /// network lines of routing), counted as they are emitted.
     ReplayEmissions,
-    /// Route intents executed at replay (packets entering the network).
+    /// Network route calls (packets entering the network), counted as
+    /// each event's sends are routed.
     ReplayRoutes,
 }
 
 /// Host-configuration counters (the `host` section): deterministic for a
-/// fixed `--shards`/cache configuration but intentionally different
-/// between drivers. Digest-excluded; hard-compared by `bench-diff` when
-/// configs match.
+/// fixed cache configuration. Digest-excluded; hard-compared by
+/// `bench-diff` when configs match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Host {
-    /// Conservative lookahead window rounds run by the shard coordinator.
-    DriverWindows,
-    /// Per-window sync-barrier stalls: (shard, window) slots where a
-    /// shard reached the barrier having processed zero events.
-    ShardIdleWindows,
-    /// Packets whose replay delivery crossed a shard boundary (origin
-    /// shard != destination shard).
-    ShardCrossings,
     /// Sweep points executed or served from cache.
     SweepPoints,
     /// Sweep points served from the content-addressed run cache.
@@ -72,12 +64,6 @@ pub enum Host {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Wall {
-    /// Nanoseconds shard workers spent processing events inside windows.
-    ShardComputeNs,
-    /// Nanoseconds the coordinator spent waiting on the window barrier.
-    ShardBarrierNs,
-    /// Nanoseconds the coordinator spent k-way merging and replaying.
-    ShardReplayNs,
     /// Nanoseconds sweep workers spent executing points (incl. cache IO).
     SweepExecNs,
     /// Nanoseconds spent appending to / flushing the write-ahead journal.
@@ -108,20 +94,10 @@ pub const SIM_NAMES: [&str; 14] = [
 ];
 
 /// Canonical names for the [`Host`] counters, in enum order.
-pub const HOST_NAMES: [&str; 6] = [
-    "driver.windows",
-    "shard.idle_windows",
-    "shard.crossings",
-    "sweep.points",
-    "sweep.cache_hits",
-    "sweep.simulated",
-];
+pub const HOST_NAMES: [&str; 3] = ["sweep.points", "sweep.cache_hits", "sweep.simulated"];
 
 /// Canonical names for the [`Wall`] counters, in enum order.
-pub const WALL_NAMES: [&str; 7] = [
-    "shard.compute_ns",
-    "shard.barrier_ns",
-    "shard.replay_ns",
+pub const WALL_NAMES: [&str; 4] = [
     "sweep.exec_ns",
     "sweep.journal_ns",
     "alloc.allocs",
@@ -133,7 +109,7 @@ static SIM: [AtomicU64; SIM_NAMES.len()] = [const { AtomicU64::new(0) }; SIM_NAM
 static HOST: [AtomicU64; HOST_NAMES.len()] = [const { AtomicU64::new(0) }; HOST_NAMES.len()];
 // Wall bank excludes the two allocator slots, which live in always-on
 // statics owned by `alloc.rs` and are spliced in at snapshot time.
-static WALL: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+static WALL: [AtomicU64; 2] = [const { AtomicU64::new(0) }; 2];
 
 /// Is host profiling currently collecting? A single relaxed load — this
 /// is the entire cost of every hook when profiling is off.
@@ -291,14 +267,14 @@ mod tests {
         reset();
         bump(Sim::CalPushes);
         add(Sim::QueuePushes, 7);
-        bump_host(Host::DriverWindows);
-        add_wall(Wall::ShardComputeNs, 99);
+        bump_host(Host::SweepPoints);
+        add_wall(Wall::SweepExecNs, 99);
         count_lane(2);
         assert!(now().is_none());
         let s = snapshot();
         assert_eq!(s.sim, [0; SIM_NAMES.len()]);
         assert_eq!(s.host, [0; HOST_NAMES.len()]);
-        assert_eq!(&s.wall[..5], &[0; 5]);
+        assert_eq!(&s.wall[..2], &[0; 2]);
     }
 
     #[test]

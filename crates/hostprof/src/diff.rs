@@ -1,6 +1,5 @@
-//! `bench-diff`: compare two benchmark trajectory files
-//! (`emx-bench/2` / `emx-bench-shard/2`) point by point, modeled on
-//! `emx-profile`'s `profile-diff`.
+//! `bench-diff`: compare two benchmark trajectory files (`emx-bench/2`)
+//! point by point, modeled on `emx-profile`'s `profile-diff`.
 //!
 //! Field classes drive the comparison:
 //!
@@ -9,14 +8,14 @@
 //!   against `threshold_ppm` (default 0: these are byte-deterministic,
 //!   any drift is a regression or an intentional change that must
 //!   regenerate the baseline).
-//! * **annotations** — `wall` section values, `wall_ns`,
-//!   `cycles_per_sec`. Compared against `wall_threshold_ppm` and
-//!   reported as warnings only; they never affect the outcome.
+//! * **annotations** — `wall` section values and `wall_ns`. Compared
+//!   against `wall_threshold_ppm` and reported as warnings only; they
+//!   never affect the outcome.
 //!
 //! The CLI maps [`DriftKind::Drift`] to exit code 3, like profile drift.
 
 /// Benchmark file schemas `bench-diff` understands.
-pub const HOSTPROF_SCHEMAS: [&str; 2] = ["emx-bench/2", "emx-bench-shard/2"];
+pub const HOSTPROF_SCHEMAS: [&str; 1] = ["emx-bench/2"];
 
 /// Default hard threshold for deterministic fields: exact match.
 pub const DEFAULT_THRESHOLD_PPM: u64 = 0;
@@ -27,7 +26,7 @@ pub const DEFAULT_WALL_THRESHOLD_PPM: u64 = 500_000;
 /// One benchmark point, already parsed out of the JSON by the caller.
 #[derive(Debug, Clone, Default)]
 pub struct BenchPoint {
-    /// Identity within the file, e.g. `fft p=64 h=4 r=512 shards=2`.
+    /// Identity within the file, e.g. `fft p=64 h=4 r=512`.
     pub key: String,
     /// Simulated cycles to completion (deterministic).
     pub cycles: u64,
@@ -44,7 +43,7 @@ pub struct BenchPoint {
 /// A parsed benchmark trajectory file.
 #[derive(Debug, Clone, Default)]
 pub struct BenchFile {
-    /// Schema tag (`emx-bench/2` or `emx-bench-shard/2`).
+    /// Schema tag (`emx-bench/2`).
     pub schema: String,
     /// Scale provenance (`quick`/`standard`/`full`).
     pub scale: String,
@@ -329,7 +328,7 @@ mod tests {
 
     fn file(points: Vec<BenchPoint>) -> BenchFile {
         BenchFile {
-            schema: "emx-bench-shard/2".into(),
+            schema: "emx-bench/2".into(),
             scale: "quick".into(),
             points,
         }

@@ -4,20 +4,16 @@
 //! of what `emx-profile` does for the *guest* machine. Where emx-profile
 //! decomposes simulated cycles into busy/switch/wait/idle, this crate
 //! decomposes *host* work: how many calendar operations, events, queue and
-//! DMA operations the simulator performed, how many window rounds and
-//! barrier stalls the sharded driver paid, and where wall-clock time went
-//! (shard compute vs. barrier vs. replay; sweep worker vs. journal flush).
+//! DMA operations the simulator performed, and where wall-clock time went
+//! (sweep worker vs. journal flush).
 //!
 //! Three counter classes, three report sections (`emx-hostprof/1`):
 //!
 //! * **`counters`** ([`Sim`]) — semantic simulation work. For an
-//!   error-free run these are byte-identical across `--shards` and
-//!   `--jobs` settings, because both execution drivers funnel every
-//!   externally visible effect through the same replay chokepoint. The
-//!   report digest covers *only* this section.
+//!   error-free run these are byte-identical across `--jobs` settings.
+//!   The report digest covers *only* this section.
 //! * **`host`** ([`Host`]) — deterministic for a fixed host configuration
-//!   but intentionally shard/driver-dependent (window rounds, idle
-//!   window slots, cross-shard packets, sweep cache hits). Reported,
+//!   (sweep points, cache hits, simulated points). Reported,
 //!   digest-excluded, hard-compared by `bench-diff` at equal config.
 //! * **`wall`** ([`Wall`]) — wall-clock section timers in nanoseconds and
 //!   the opt-in counting-allocator totals. Annotations only: digest-

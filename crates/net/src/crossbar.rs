@@ -10,7 +10,7 @@
 use emx_core::{Cycle, NetConfig, PeId};
 
 use crate::stats::NetStats;
-use crate::{LatencyBound, Network};
+use crate::Network;
 
 /// Single-hop crossbar with per-destination-port serialization.
 pub struct CrossbarNetwork {
@@ -49,18 +49,6 @@ impl Network for CrossbarNetwork {
             0
         } else {
             1
-        }
-    }
-
-    fn latency_bound(&self) -> LatencyBound {
-        // head = now + hop in, ready + hop out: at least 2 hops even
-        // uncontended. Loopback goes through the same destination port as
-        // everything else, so it contends and is NOT pure.
-        let hop = u64::from(self.cfg.hop_cycles);
-        LatencyBound {
-            min_remote: 2 * hop,
-            min_local: 2 * hop,
-            pure_local: None,
         }
     }
 

@@ -27,7 +27,7 @@
 use emx_core::{Cycle, NetConfig, PeId, SimError};
 
 use crate::stats::NetStats;
-use crate::{LatencyBound, Network};
+use crate::Network;
 
 /// A k-ary fat-tree with per-sub-link contention.
 pub struct FatTreeNetwork {
@@ -160,18 +160,6 @@ impl Network for FatTreeNetwork {
             return 0;
         }
         (2 * self.lca_level(src, dst)) as u32
-    }
-
-    fn latency_bound(&self) -> LatencyBound {
-        // The closest remote pair are two leaves under one switch: one
-        // up-edge plus one down-edge after the injection hop. Loopback
-        // stays inside the leaf and is pure at one hop.
-        let hop = u64::from(self.cfg.hop_cycles);
-        LatencyBound {
-            min_remote: 3 * hop,
-            min_local: hop,
-            pure_local: Some(hop),
-        }
     }
 
     fn stats(&self) -> &NetStats {

@@ -8,7 +8,7 @@
 use emx_core::{Cycle, PeId};
 
 use crate::stats::NetStats;
-use crate::{LatencyBound, NetSnapshot, Network};
+use crate::{NetSnapshot, Network};
 
 /// Fixed-latency, infinite-bandwidth network model.
 pub struct IdealNetwork {
@@ -48,17 +48,6 @@ impl Network for IdealNetwork {
             0
         } else {
             1
-        }
-    }
-
-    fn latency_bound(&self) -> LatencyBound {
-        // Contention-free: every delivery, local or remote, is exactly the
-        // configured latency, so both bounds are tight and loopback is pure.
-        let l = u64::from(self.latency);
-        LatencyBound {
-            min_remote: l,
-            min_local: l,
-            pure_local: Some(l),
         }
     }
 

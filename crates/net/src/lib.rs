@@ -105,52 +105,6 @@ impl Deliveries {
     }
 }
 
-/// Conservative lower bounds on a model's delivery latency, in cycles.
-///
-/// This is the contract the sharded runtime builds its lookahead window on:
-/// a packet injected at cycle `t` can never arrive before `t + min_remote`
-/// (remote destination) or `t + min_local` (loopback to the sender), so
-/// shards of a partitioned machine may safely advance `min` cycles past the
-/// global minimum event time before exchanging cross-shard packets
-/// (`docs/SHARDING.md`). Reporting a bound *smaller* than the true minimum
-/// is always safe (it only shrinks the window); reporting a larger one is a
-/// correctness bug.
-///
-/// `pure_local` additionally asserts that loopback routing is *pure*: a
-/// packet from a processor to itself arrives at exactly
-/// `inject + pure_local` cycles, independent of any traffic (no shared
-/// contention state, no randomness). Models with that property let a shard
-/// predict its own loopback arrivals without consulting the global network;
-/// models where loopback contends (crossbar) or is perturbed (fault
-/// injection) must leave it `None`.
-///
-/// ```
-/// use emx_core::NetConfig;
-/// use emx_net::build_network;
-///
-/// // The default model is the circular Omega network: over 16 PEs it has
-/// // log2(16) = 4 switch stages, so with hop_cycles = 1 a remote packet
-/// // needs at least k + 1 = 5 cycles, while a loopback through the local
-/// // switch box always takes exactly 1.
-/// let net = build_network(&NetConfig::default(), 16).unwrap();
-/// let b = net.latency_bound();
-/// assert_eq!(b.min_remote, 5);
-/// assert_eq!(b.min_local, 1);
-/// assert_eq!(b.pure_local, Some(1));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyBound {
-    /// No packet to a *different* processor arrives earlier than this many
-    /// cycles after injection, over all (src, dst) pairs and traffic.
-    pub min_remote: u64,
-    /// No loopback packet (src == dst) arrives earlier than this many
-    /// cycles after injection.
-    pub min_local: u64,
-    /// `Some(d)` iff loopback delivery is pure: every loopback packet
-    /// arrives at exactly `inject + d`, regardless of other traffic.
-    pub pure_local: Option<u64>,
-}
-
 /// Counters of the faults a network layer actually injected. Returned by
 /// [`Network::fault_counters`]; `None` for fault-free models.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -258,21 +212,6 @@ pub trait Network: Send {
     /// The number of hops the route from `src` to `dst` traverses.
     fn hops(&self, src: PeId, dst: PeId) -> u32;
 
-    /// Conservative lower bounds on delivery latency; see [`LatencyBound`].
-    ///
-    /// The default is the degenerate bound (zero cycles, impure loopback),
-    /// which is always correct and makes the sharded runtime fall back to
-    /// single-calendar execution. Models should override it with their real
-    /// floor so conservative parallel execution gets a useful lookahead
-    /// window.
-    fn latency_bound(&self) -> LatencyBound {
-        LatencyBound {
-            min_remote: 0,
-            min_local: 0,
-            pure_local: None,
-        }
-    }
-
     /// Accumulated traffic statistics.
     fn stats(&self) -> &NetStats;
 
@@ -331,69 +270,6 @@ mod tests {
         assert_eq!(build_network(&cfg, 16).unwrap().name(), "mesh-2d");
         cfg.model = NetModelKind::FatTree { arity: 4 };
         assert_eq!(build_network(&cfg, 16).unwrap().name(), "fat-tree");
-    }
-
-    /// Every model's kind, over a few machine sizes.
-    fn all_models() -> Vec<(NetModelKind, usize)> {
-        let kinds = [
-            NetModelKind::CircularOmega,
-            NetModelKind::Ideal { latency: 7 },
-            NetModelKind::FullCrossbar,
-            NetModelKind::Torus2D,
-            NetModelKind::Mesh2D,
-            NetModelKind::FatTree { arity: 2 },
-            NetModelKind::FatTree { arity: 4 },
-        ];
-        let mut v = Vec::new();
-        for kind in kinds {
-            for pes in [2usize, 8, 16, 17] {
-                v.push((kind, pes));
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn latency_bounds_are_conservative_under_bursty_traffic() {
-        // The shard-lookahead contract: NO delivery may beat the reported
-        // bound. Hammer every model with a bursty all-pairs schedule and
-        // compare each arrival against min_remote / min_local; where
-        // pure_local is claimed, loopback must land at exactly inject + d.
-        for (kind, pes) in all_models() {
-            let cfg = NetConfig {
-                model: kind,
-                ..NetConfig::default()
-            };
-            let mut net = build_network(&cfg, pes).unwrap();
-            let b = net.latency_bound();
-            assert!(b.min_remote >= b.min_local, "{kind:?}: remote < local");
-            if let Some(d) = b.pure_local {
-                assert_eq!(d, b.min_local, "{kind:?}: pure bound must equal min");
-            }
-            for burst in 0..40u64 {
-                let now = Cycle::new(burst * 2);
-                for s in 0..pes {
-                    for d in 0..pes {
-                        let src = PeId(s as u16);
-                        let dst = PeId(d as u16);
-                        let arr = net.route(now, src, dst);
-                        let lat = (arr - now).get();
-                        if s == d {
-                            assert!(lat >= b.min_local, "{kind:?} P={pes}: loopback {lat}");
-                            if let Some(p) = b.pure_local {
-                                assert_eq!(lat, p, "{kind:?} P={pes}: impure loopback");
-                            }
-                        } else {
-                            assert!(
-                                lat >= b.min_remote,
-                                "{kind:?} P={pes} {s}->{d}: {lat} beats bound {}",
-                                b.min_remote
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use emx_core::{Cycle, NetConfig, PeId, SimError};
 
 use crate::stats::NetStats;
-use crate::{LatencyBound, Network};
+use crate::Network;
 
 /// Direction of a unidirectional mesh link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,17 +138,6 @@ impl Network for MeshNetwork {
         let (x, y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
         (x.abs_diff(dx) + y.abs_diff(dy)) as u32
-    }
-
-    fn latency_bound(&self) -> LatencyBound {
-        // Closest remote neighbour is one link away: injection hop plus one
-        // link hop. Loopback stays inside the node and is pure at one hop.
-        let hop = u64::from(self.cfg.hop_cycles);
-        LatencyBound {
-            min_remote: 2 * hop,
-            min_local: hop,
-            pure_local: Some(hop),
-        }
     }
 
     fn stats(&self) -> &NetStats {

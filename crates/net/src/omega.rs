@@ -26,7 +26,7 @@
 use emx_core::{Cycle, NetConfig, PeId, SimError};
 
 use crate::stats::NetStats;
-use crate::{LatencyBound, Network};
+use crate::Network;
 
 /// Identifies one switch output port: `(stage, switch, output)` flattened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,19 +163,6 @@ impl Network for OmegaNetwork {
             0
         } else {
             self.stages
-        }
-    }
-
-    fn latency_bound(&self) -> LatencyBound {
-        // Uncontended remote route: one injection hop plus one hop per
-        // stage — the paper's k+1 cycles. Contention only adds waiting.
-        // Loopback never leaves the switch box and touches no port state,
-        // so it is pure at exactly one hop.
-        let hop = u64::from(self.cfg.hop_cycles);
-        LatencyBound {
-            min_remote: (u64::from(self.stages) + 1) * hop,
-            min_local: hop,
-            pure_local: Some(hop),
         }
     }
 

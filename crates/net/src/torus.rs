@@ -15,7 +15,7 @@
 use emx_core::{Cycle, NetConfig, PeId, SimError};
 
 use crate::stats::NetStats;
-use crate::{LatencyBound, Network};
+use crate::Network;
 
 /// Direction of a unidirectional torus link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,17 +153,6 @@ impl Network for TorusNetwork {
         let (xs, _) = Self::ring_steps(x, dx, self.width);
         let (ys, _) = Self::ring_steps(y, dy, self.height);
         (xs + ys) as u32
-    }
-
-    fn latency_bound(&self) -> LatencyBound {
-        // Closest remote neighbour is one link away: injection hop plus one
-        // link hop. Loopback stays inside the node and is pure at one hop.
-        let hop = u64::from(self.cfg.hop_cycles);
-        LatencyBound {
-            min_remote: 2 * hop,
-            min_local: hop,
-            pure_local: Some(hop),
-        }
     }
 
     fn stats(&self) -> &NetStats {

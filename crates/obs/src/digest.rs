@@ -8,9 +8,9 @@
 //! The digest and the event count share one mutex, taken once per event,
 //! so a [`DigestHandle`] always reads a consistent pair — also while its
 //! probe is still attached. Because the machine emits trace events in one
-//! canonical order regardless of host shard count, the digest is the cheap
-//! way to assert that two runs produced *identical* event streams: compare
-//! 32 hex chars instead of gigabytes of trace.
+//! canonical order, the digest is the cheap way to assert that two runs
+//! produced *identical* event streams: compare 32 hex chars instead of
+//! gigabytes of trace.
 
 use std::sync::{Arc, Mutex};
 

@@ -1,19 +1,19 @@
-//! The sharded event calendar and its canonical event key.
+//! The event calendar and its canonical event key.
 //!
-//! The machine used to order same-cycle events by global insertion sequence
-//! (the `EventQueue` FIFO tie-break). That order is an artifact of one
-//! particular interleaving of pushes, so a machine partitioned into shards —
-//! each pushing into its own calendar — could never reproduce it. [`EvKey`]
-//! replaces it with a *canonical* total order computed from the event's own
-//! identity: time, home processor, lane, and per-(processor, lane) sequence
-//! counters that advance only while the home processor's events execute.
-//! Every event's key is therefore identical whether the machine runs on one
-//! calendar or sixteen, which is the foundation of the byte-determinism
-//! argument in `docs/SHARDING.md`.
+//! Same-cycle events are ordered by [`EvKey`], a *canonical* total order
+//! computed from the event's own identity: time, home processor, lane, and
+//! per-(processor, lane) sequence counters that advance only while the
+//! home processor's events execute. An order by global insertion sequence
+//! (a FIFO tie-break) would be an artifact of one particular interleaving
+//! of pushes: restoring a snapshot, or changing the order in which one
+//! handler schedules its follow-ups, would reorder same-cycle events. With
+//! the canonical key, an event's position depends only on what it is, not
+//! on when it was pushed.
 //!
 //! Keys are globally unique (the lane counters and the strictly monotone
 //! OBU depart times guarantee it), so the heap order is total and a pop
-//! sequence is a pure function of the pushed set.
+//! sequence is a pure function of the pushed set. Snapshots record the
+//! pending set in this order, and the trace and report digests rely on it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -124,11 +124,9 @@ impl<T> Calendar<T> {
     }
 
     /// [`Calendar::push`] without the hostprof counter — for re-inserting
-    /// events that were already counted when first scheduled (shard
-    /// split repartitioning, snapshot restore). Keeping these off the
-    /// books is what makes `calendar.pushes` byte-identical across
-    /// `--shards` settings.
-    pub fn push_uncounted(&mut self, key: EvKey, payload: T) -> Result<(), SimError> {
+    /// events restored from a snapshot, which were counted when first
+    /// scheduled.
+    fn push_uncounted(&mut self, key: EvKey, payload: T) -> Result<(), SimError> {
         if key.at < self.now {
             return Err(SimError::EventInPast {
                 at: key.at.get(),
@@ -155,36 +153,10 @@ impl<T> Calendar<T> {
         self.heap.peek().map(|e| e.key)
     }
 
-    /// Time of the next event, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.key.at)
-    }
-
     /// The time of the most recently popped event.
     #[inline]
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Number of pending events.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drain every pending entry, unordered — used to repartition a
-    /// machine's pre-run calendar into per-shard calendars.
-    pub fn drain_entries(&mut self) -> Vec<(EvKey, T)> {
-        std::mem::take(&mut self.heap)
-            .into_iter()
-            .map(|e| (e.key, e.payload))
-            .collect()
     }
 
     /// A sorted, non-consuming copy of every pending entry — the canonical
@@ -273,28 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_everything_pending() {
-        let mut c = Calendar::new();
-        for pe in 0..4u16 {
-            c.push(key(0, pe, 1, 0, 0), pe).unwrap();
-        }
-        assert_eq!(c.len(), 4);
-        let mut entries = c.drain_entries();
-        entries.sort_by_key(|(k, _)| *k);
-        assert_eq!(
-            entries.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn peek_matches_next_pop() {
         let mut c = Calendar::new();
         c.push(key(7, 2, 0, 0, 0), 'x').unwrap();
         c.push(key(4, 3, 2, 1, 0), 'y').unwrap();
-        assert_eq!(c.peek_time(), Some(Cycle::new(4)));
-        assert_eq!(c.peek_key().unwrap().pe, 3);
+        let head = c.peek_key().unwrap();
+        assert_eq!((head.at, head.pe), (Cycle::new(4), 3));
         assert_eq!(c.pop().unwrap().1, 'y');
     }
 }

@@ -74,7 +74,6 @@
 
 mod calendar;
 mod machine;
-mod shard;
 mod snapshot;
 mod thread;
 mod trace;

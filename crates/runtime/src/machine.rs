@@ -10,32 +10,33 @@
 //! packet queue and steal processor time exactly as the paper describes for
 //! the EM-X's predecessor.
 //!
-//! ## Execution split: core vs. shared vs. global
+//! ## The event loop
 //!
-//! The machine's run-time state is split so a run can execute on several
-//! host threads (see [`MachineConfig::shards`] and `docs/SHARDING.md`)
-//! while staying byte-identical to the single-calendar run:
+//! One calendar holds every pending event, popped in canonical [`EvKey`]
+//! order. Each event's effects are applied where it pops, in a fixed order
+//! the trace and report digests rely on:
 //!
-//! * [`Core`] — everything a disjoint group of processors mutates while
-//!   executing its own events: the PEs, an event [`Calendar`] keyed by the
-//!   canonical [`EvKey`] order, and buffers of trace emissions and network
-//!   [`RouteIntent`]s produced but not yet applied;
-//! * [`Shared`] — the immutable tables every shard reads: configuration,
-//!   entry definitions, barrier membership;
-//! * the **global, order-sensitive** resources — the one stateful network
-//!   model, the trace/probe consumers, and the invariant checker — are
-//!   never touched during event processing. [`Core::process_event`] only
-//!   *stages* their effects; a replay pass (`shard.rs`) applies them in
-//!   canonical merged order, which is what makes the sharded execution
-//!   deterministic.
+//! 1. the invariant checker observes the event (and, for a network
+//!    arrival, the arrival);
+//! 2. the handler runs against [`Core`] — the processors and the calendar
+//!    — writing its own trace lines straight to the [`Observers`] sink;
+//! 3. the packets the handler sent, buffered in [`Core::sends`], are
+//!    routed in send order: each one's `Send` line, the network model's
+//!    lines, the checker's send observation, then its arrivals;
+//! 4. the handler's error, if any, is returned.
+//!
+//! Routing at the point of the send would interleave the network's trace
+//! lines with the handler's, so sends wait in the buffer until step 3.
+//! [`Shared`] holds the immutable tables the handlers read alongside the
+//! core: configuration, entry definitions, barrier membership.
 
 use emx_core::{
     Continuation, Cycle, FrameId, GlobalAddr, MachineConfig, Packet, PacketKind, PeId, Priority,
-    Probe, ServiceMode, SimError, SlotId, SuspendCause, TraceEvent,
+    Probe, ServiceMode, SimError, SlotId, SuspendCause,
 };
-use emx_faults::{FaultPlan, FaultyNetwork, InvariantChecker, Rng64};
+use emx_faults::{FaultPlan, FaultReport, FaultyNetwork, InvariantChecker, Rng64};
 use emx_isa::{Effect, Program, Reg, ThreadState};
-use emx_net::{build_network, Network};
+use emx_net::{build_network, DeliveryClass, Network};
 use emx_proc::{BypassDma, FrameTable, LocalMemory, PacketQueue};
 use emx_stats::{FaultSummary, PeStats, RunReport};
 
@@ -91,10 +92,8 @@ pub const DEFAULT_FUEL: u64 = 1 << 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntryId(pub u32);
 
-/// Entry factories are invoked from shard worker threads, so they must be
-/// `Sync` as well as `Send` (they are only ever *called* for a PE the
-/// calling shard owns, but the table itself is shared by reference).
-pub(crate) type Factory = Box<dyn Fn(PeId, u32) -> Box<dyn ThreadBody> + Send + Sync>;
+/// Entry factories travel with the machine, which must stay `Send`.
+pub(crate) type Factory = Box<dyn Fn(PeId, u32) -> Box<dyn ThreadBody> + Send>;
 
 pub(crate) enum EntryDef {
     Native { name: String, factory: Factory },
@@ -192,15 +191,13 @@ pub(crate) struct Pe {
     /// Source of per-frame [`Frame::uid`] values.
     pub(crate) next_uid: u64,
     /// Per-PE seeded fault-decision streams (present iff fault injection is
-    /// configured). Per-PE rather than machine-global so each processor's
-    /// draws are a function of the seed and that processor alone — a
-    /// sharded run then draws exactly the faults the single-calendar run
-    /// draws, in any interleaving.
+    /// configured), so each processor's draws are a function of the seed
+    /// and that processor alone.
     pub(crate) spill_rng: Option<Rng64>,
     pub(crate) dma_rng: Option<Rng64>,
     /// Canonical-key counters, one per [`EvKey`] lane homed on this PE.
     /// They advance only while this PE's own events execute (or during
-    /// pre-run setup), so key assignment is identical at any shard count.
+    /// pre-run setup), so an event's key never depends on push order.
     pub(crate) ev_dispatch_seq: u64,
     pub(crate) ev_local_seq: u64,
     pub(crate) ev_retry_seq: u64,
@@ -230,25 +227,26 @@ struct Charges {
     comm: u64,
 }
 
-/// Buffer-writer for trace emissions produced during event processing.
-///
-/// Event handlers never talk to the real [`Trace`]/[`Probe`] consumers:
-/// those are global and order-sensitive, so emissions are appended to the
-/// core's buffer and flushed by the replay pass in canonical merged order.
-/// The [`Sink::as_probe`] gate keeps probed calls on the `None` fast path —
-/// no event is ever constructed — when observation is off.
-struct Sink<'a> {
-    buf: Option<&'a mut Vec<TraceEvent>>,
+/// The one observation sink: fans every trace line out to the ring
+/// [`Trace`] and the attached [`Probe`]. With neither attached,
+/// [`Observers::as_probe`] is `None` and no line is built.
+#[derive(Default)]
+pub(crate) struct Observers {
+    pub(crate) trace: Option<Trace>,
+    pub(crate) probe: Option<Box<dyn Probe + Send>>,
+    /// Lines emitted so far; the event loop takes differences of it to
+    /// count each handler's lines (`replay.emissions`).
+    lines: u64,
 }
 
-impl Sink<'_> {
+impl Observers {
     #[inline]
     fn enabled(&self) -> bool {
-        self.buf.is_some()
+        self.trace.is_some() || self.probe.is_some()
     }
 
     /// `Some(self)` when observation is on, else `None`, for the `*_probed`
-    /// entry points of the processor units.
+    /// entry points of the processor units and the network.
     #[inline]
     fn as_probe(&mut self) -> Option<&mut dyn Probe> {
         if self.enabled() {
@@ -259,11 +257,15 @@ impl Sink<'_> {
     }
 }
 
-impl Probe for Sink<'_> {
+impl Probe for Observers {
     #[inline]
     fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
-        if let Some(b) = self.buf.as_deref_mut() {
-            b.push(TraceEvent { at, pe, kind });
+        self.lines += 1;
+        if let Some(t) = self.trace.as_mut() {
+            t.record(at, pe, kind);
+        }
+        if let Some(p) = self.probe.as_mut() {
+            p.on(at, pe, kind);
         }
     }
 }
@@ -283,68 +285,34 @@ enum Outgoing {
     },
 }
 
-/// A network-bound packet staged during event processing.
-///
-/// The network model is the one piece of mutable state shared by all
-/// processors, so cores never route directly; the replay pass executes the
-/// intents against it in canonical merged order.
-pub(crate) struct RouteIntent {
+/// A packet an event handler sent, routed when the event's handler is done.
+pub(crate) struct NetSend {
     pub(crate) depart: Cycle,
     pub(crate) src: PeId,
     pub(crate) pkt: Packet,
-    /// `Some(arrival)` when this is a pure loopback whose arrival the core
-    /// already scheduled inline (so the shard can keep executing inside its
-    /// window); replay then verifies the prediction instead of delivering.
-    pub(crate) predicted: Option<Cycle>,
 }
 
-/// The outcome of processing one event: its canonical key, whether it was a
-/// network arrival (the conservation ledger counts those), how far the
-/// core's emission/intent buffers extend after it (cumulative offsets), and
-/// the error it produced, if any.
-pub(crate) struct PopRecord {
-    pub(crate) key: EvKey,
-    pub(crate) via_net: bool,
-    pub(crate) emit_end: u32,
-    pub(crate) int_end: u32,
-    pub(crate) error: Option<SimError>,
-}
-
-/// The per-shard half of a machine: a contiguous group of processors, their
-/// event calendar, and the buffers of staged effects. A single-shard run
-/// uses one `Core` covering every PE; a sharded run splits the machine's
-/// core into disjoint parts and reassembles them afterwards.
+/// The state event handlers mutate: the processors, the event calendar,
+/// the observation sink and the buffer of packets sent by the current
+/// event.
 pub(crate) struct Core {
-    /// Global index of the first PE this core owns.
-    pub(crate) base: usize,
     pub(crate) pes: Vec<Pe>,
     pub(crate) cal: Calendar<Ev>,
-    /// Coordinator-side arrival counts per barrier id; only mutated on the
-    /// core owning [`BARRIER_COORDINATOR`].
+    /// Coordinator-side arrival counts per barrier id.
     pub(crate) barrier_counts: Vec<usize>,
     /// Latest meaningful simulated time: advanced by arrivals, dispatches
     /// and real retry re-issues, but *not* by stale retry timers popping
     /// after the workload completed — those must not inflate `elapsed`.
     pub(crate) progress: Cycle,
-    /// Recovery tallies (DMA stalls, retries, stale responses) drawn on
-    /// this core's processors; summed across cores for the report.
+    /// Recovery tallies (DMA stalls, retries, stale responses).
     pub(crate) fsummary: FaultSummary,
-    /// Trace emissions staged by [`Core::process_event`], flushed at replay.
-    pub(crate) emit: Vec<TraceEvent>,
-    /// Route intents staged by [`Core::process_event`], executed at replay.
-    pub(crate) intents: Vec<RouteIntent>,
-    /// Whether any observability consumer is attached (mirrored from the
-    /// machine so cores know to buffer emissions at all).
-    pub(crate) observing: bool,
-    /// The network model's state-free loopback latency, when it has one
-    /// ([`LatencyBound::pure_local`](emx_net::LatencyBound)); lets a core
-    /// predict same-PE arrivals without touching the shared model.
-    pub(crate) pure_local: Option<u64>,
+    pub(crate) obs: Observers,
+    /// Packets the current event sent, in send order; empty between
+    /// events.
+    pub(crate) sends: Vec<NetSend>,
 }
 
-/// The immutable tables every core reads during a run. Shards execute
-/// against one `Shared` by reference from several threads, hence the `Sync`
-/// requirement on [`Factory`].
+/// The immutable tables the event handlers read.
 pub(crate) struct Shared<'a> {
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) entries: &'a [EntryDef],
@@ -377,30 +345,20 @@ pub struct Machine {
     pub(crate) entries: Vec<EntryDef>,
     /// Participants per PE for each barrier id.
     pub(crate) barrier_defs: Vec<usize>,
-    pub(crate) trace: Option<Trace>,
-    /// Externally attached observability sink ([`Machine::attach_probe`]);
-    /// receives the same event stream as the trace, unbounded.
-    pub(crate) probe: Option<Box<dyn Probe + Send>>,
-    /// Fault-model invariant checker, fed at replay time so it sees effects
-    /// in canonical order regardless of shard count.
+    /// Fault-model invariant checker, fed as each event pops.
     pub(crate) checker: Option<InvariantChecker>,
     pub(crate) ran: bool,
 }
 
 /// `Machine` must stay [`Send`]: the sweep engine (`emx-sweep`) builds and
-/// runs machines on worker threads. `Core` must be `Send` (shards move to
-/// worker threads) and `Shared` must be `Sync` (shards read it
-/// concurrently). `Network` and `ThreadBody` carry explicit `Send` bounds
-/// for the same reason — adding a non-`Send` field (an `Rc`, a raw pointer,
-/// a thread-local handle) breaks parallel execution, and this guard turns
-/// that mistake into a compile error here rather than a trait-bound error
-/// three crates away.
+/// runs machines on worker threads. `Network` and `ThreadBody` carry
+/// explicit `Send` bounds for the same reason — adding a non-`Send` field
+/// (an `Rc`, a raw pointer, a thread-local handle) breaks parallel sweeps,
+/// and this guard turns that mistake into a compile error here rather than
+/// a trait-bound error three crates away.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
-    fn assert_sync<T: Sync>() {}
     assert_send::<Machine>();
-    assert_send::<Core>();
-    assert_sync::<Shared<'static>>();
 };
 
 impl Machine {
@@ -449,26 +407,20 @@ impl Machine {
                 }
             })
             .collect();
-        let pure_local = net.latency_bound().pure_local;
         Ok(Machine {
             cfg,
             net,
             core: Core {
-                base: 0,
                 pes,
                 cal: Calendar::new(),
                 barrier_counts: Vec::new(),
                 progress: Cycle::ZERO,
                 fsummary: FaultSummary::default(),
-                emit: Vec::new(),
-                intents: Vec::new(),
-                observing: false,
-                pure_local,
+                obs: Observers::default(),
+                sends: Vec::new(),
             },
             entries: Vec::new(),
             barrier_defs: Vec::new(),
-            trace: None,
-            probe: None,
             checker,
             ran: false,
         })
@@ -480,13 +432,11 @@ impl Machine {
     }
 
     /// Register a native thread entry: `factory(pe, arg)` builds the body
-    /// when an invocation packet for this entry is dispatched. The factory
-    /// must be `Sync` because sharded runs read the entry table from
-    /// several worker threads.
+    /// when an invocation packet for this entry is dispatched.
     pub fn register_entry(
         &mut self,
         name: impl Into<String>,
-        factory: impl Fn(PeId, u32) -> Box<dyn ThreadBody> + Send + Sync + 'static,
+        factory: impl Fn(PeId, u32) -> Box<dyn ThreadBody> + Send + 'static,
     ) -> EntryId {
         self.entries.push(EntryDef::Native {
             name: name.into(),
@@ -507,13 +457,12 @@ impl Machine {
     /// injections, thread lifecycle, queue and DMA activity) for post-run
     /// inspection via [`Machine::trace`].
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-        self.core.observing = true;
+        self.core.obs.trace = Some(Trace::new(capacity));
     }
 
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.core.obs.trace.as_ref()
     }
 
     /// Attach an observability probe. The probe receives every event the
@@ -522,15 +471,12 @@ impl Machine {
     /// without the machine holding their storage. With no probe attached
     /// every emission site is a single `None` check and no event is built.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe + Send>) {
-        self.probe = Some(probe);
-        self.core.observing = true;
+        self.core.obs.probe = Some(probe);
     }
 
     /// Detach and return the attached probe, if any.
     pub fn detach_probe(&mut self) -> Option<Box<dyn Probe + Send>> {
-        let p = self.probe.take();
-        self.core.observing = self.trace.is_some();
-        p
+        self.core.obs.probe.take()
     }
 
     /// Name of a registered entry (for traces; templates report their
@@ -608,65 +554,171 @@ impl Machine {
 
     /// Run to quiescence, failing if simulated time passes `limit` (guards
     /// against livelock from a barrier that can never be satisfied).
-    ///
-    /// With [`MachineConfig::shards`] > 1 and a network model whose
-    /// [`latency_bound`](Network::latency_bound) admits a positive lookahead
-    /// window, the run executes on one host thread per shard of consecutive
-    /// processors under a conservative synchronization protocol that
-    /// reproduces the single-calendar result byte for byte (reports, trace
-    /// stream, and errors); see `docs/SHARDING.md`. Configurations the
-    /// protocol cannot accelerate fall back to the single-calendar loop
-    /// silently.
     pub fn run_until(&mut self, limit: Cycle) -> Result<RunReport, SimError> {
         if self.ran {
             return Err(SimError::Workload {
                 reason: "Machine::run may only be called once per machine".into(),
             });
         }
-        self.ran = true;
-        let shards = self.effective_shards();
-        let mut res = if shards > 1 {
-            self.run_parallel(limit, shards)
-        } else {
-            self.run_single(limit)
+        loop {
+            if let Some(report) = self.step_events(u64::MAX, limit)? {
+                return Ok(report);
+            }
+        }
+    }
+
+    /// Step the machine forward by at most `max_events` events, pausing at
+    /// an event boundary.
+    ///
+    /// Returns `Ok(Some(report))` when the machine quiesced within the
+    /// budget — the machine is then finished exactly as after
+    /// [`Machine::run_until`] — or `Ok(None)` when it paused with events
+    /// still pending. A paused machine can be snapshotted
+    /// ([`Machine::snapshot`]), stepped again, or handed to
+    /// [`Machine::run_until`] to finish.
+    pub fn step_events(
+        &mut self,
+        max_events: u64,
+        limit: Cycle,
+    ) -> Result<Option<RunReport>, SimError> {
+        if self.ran {
+            return Err(SimError::Workload {
+                reason: "Machine::step_events on a finished machine".into(),
+            });
+        }
+        match self.drive_events(limit, max_events) {
+            Ok(true) => {
+                self.ran = true;
+                self.finish().map(Some)
+            }
+            Ok(false) => Ok(None),
+            Err(mut e) => {
+                self.ran = true;
+                if let SimError::FuelExhausted { live_threads, .. } = &mut e {
+                    *live_threads = self.core.suspended();
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Pop and apply up to `max_events` events. `Ok(true)` means the
+    /// calendar drained (quiescence); `Ok(false)` means the budget ran out
+    /// with events still pending.
+    fn drive_events(&mut self, limit: Cycle, max_events: u64) -> Result<bool, SimError> {
+        for _ in 0..max_events {
+            let Some(head) = self.core.cal.peek_key() else {
+                return Ok(true);
+            };
+            if head.at > limit {
+                // `step_events` patches in the live-thread census.
+                return Err(SimError::FuelExhausted {
+                    cycle: head.at.get(),
+                    live_threads: 0,
+                });
+            }
+            let Some((key, ev)) = self.core.cal.pop() else {
+                break;
+            };
+            emx_faults::kill::tick();
+            self.apply(key, ev)?;
+        }
+        Ok(self.core.cal.peek_key().is_none())
+    }
+
+    /// Apply one popped event's effects in the order the module docs list.
+    fn apply(&mut self, key: EvKey, ev: Ev) -> Result<(), SimError> {
+        if let Some(ck) = self.checker.as_mut() {
+            ck.observe_event(key.at).map_err(FaultReport::into_error)?;
+            if matches!(ev, Ev::Arrive(_, _, true)) {
+                ck.observe_arrival();
+            }
+        }
+        let sh = Shared {
+            cfg: &self.cfg,
+            entries: &self.entries,
+            barrier_defs: &self.barrier_defs,
         };
-        // Both drivers reassemble the core before returning, so the
-        // live-thread census is consistent here and byte-identical across
-        // shard counts; the drivers themselves report 0 as a placeholder.
-        if let Err(SimError::FuelExhausted { live_threads, .. }) = &mut res {
-            *live_threads = self.core.suspended();
-        }
-        res
+        let lines = self.core.obs.lines;
+        let handled = self.core.handle(&sh, key.at, ev);
+        emx_hostprof::add(
+            emx_hostprof::Sim::ReplayEmissions,
+            self.core.obs.lines - lines,
+        );
+        self.route_sends()?;
+        handled
     }
 
-    /// The conservative lookahead window: cross-PE effects staged at `t`
-    /// cannot arrive before `t + lookahead()`. With a pure loopback model
-    /// same-PE arrivals are predicted inline and only remote hops bound the
-    /// window; otherwise loopback also goes through deferred replay and the
-    /// local minimum binds too.
-    pub(crate) fn lookahead(&self) -> u64 {
-        let b = self.net.latency_bound();
-        match b.pure_local {
-            Some(_) => b.min_remote,
-            None => b.min_remote.min(b.min_local),
+    /// Route the current event's sends in send order: each packet's `Send`
+    /// line, the network model's own lines, the checker's send
+    /// observation, then its arrivals on the calendar.
+    fn route_sends(&mut self) -> Result<(), SimError> {
+        let Machine {
+            cfg,
+            net,
+            core,
+            checker,
+            ..
+        } = self;
+        let Core {
+            cal, obs, sends, ..
+        } = core;
+        emx_hostprof::add(emx_hostprof::Sim::ReplayRoutes, sends.len() as u64);
+        for NetSend { depart, src, pkt } in sends.drain(..) {
+            let dst = pkt.dst();
+            if dst.index() >= cfg.num_pes {
+                return Err(SimError::BadPe { pe: dst.index() });
+            }
+            let class = match pkt.kind {
+                PacketKind::ReadReq | PacketKind::ReadBlockReq | PacketKind::ReadResp => {
+                    DeliveryClass::Data
+                }
+                _ => DeliveryClass::Control,
+            };
+            if let Some(o) = obs.as_probe() {
+                o.on(depart, src, TraceKind::Send { pkt: pkt.kind, dst });
+            }
+            let deliveries = net.route_probed(depart, src, dst, class, pkt.kind, obs.as_probe());
+            if let Some(ck) = checker.as_mut() {
+                ck.observe_send(src, dst, deliveries.as_slice())
+                    .map_err(FaultReport::into_error)?;
+            }
+            for (dup, &arrival) in deliveries.as_slice().iter().enumerate() {
+                cal.push(
+                    EvKey::net(arrival, dst, src, depart, dup as u64),
+                    Ev::Arrive(dst, pkt, true),
+                )?;
+            }
         }
+        Ok(())
     }
 
-    /// How many shards this run actually uses: the configured count clamped
-    /// to the PE count, forced to 1 when the network model admits no
-    /// positive lookahead window (conservative synchronization could then
-    /// never advance) or when OBU forwarding is instantaneous (departure
-    /// cycles then no longer uniquely identify a processor's sends, which
-    /// the canonical network-arrival keys rely on).
-    fn effective_shards(&self) -> usize {
-        let req = self.cfg.shards.min(self.cfg.num_pes);
-        if req <= 1 || self.cfg.costs.obu_forward == 0 || self.lookahead() == 0 {
-            return 1;
+    /// End-of-run checks: deadlock detection, the invariant checker's
+    /// final pass, and report assembly.
+    fn finish(&mut self) -> Result<RunReport, SimError> {
+        let suspended = self.core.suspended();
+        if suspended > 0 {
+            return Err(SimError::Deadlock {
+                at: self.core.cal.now().get(),
+                suspended,
+            });
         }
-        req
+        if let Some(ck) = &self.checker {
+            ck.final_check(self.net.fault_counters())
+                .map_err(FaultReport::into_error)?;
+            let fifo = self.core.fifo_violations();
+            if fifo > 0 {
+                return Err(FaultReport::new(
+                    "fifo-within-priority",
+                    format!("{fifo} packet(s) popped out of enqueue order"),
+                )
+                .into_error());
+            }
+        }
+        Ok(self.report())
     }
 
-    /// Assemble the run report from the (reassembled) core.
+    /// Assemble the run report.
     pub(crate) fn report(&self) -> RunReport {
         let net_stats = self.net.stats();
         // The last dispatch event starts before its burst finishes: the true
@@ -715,78 +767,19 @@ impl Machine {
 }
 
 impl Core {
-    /// Partition this (pre-run, emptied in place) core into parts of
-    /// `chunk` consecutive processors, distributing pending calendar
-    /// entries by their home PE. Counters, fault streams, and local state
-    /// travel with their processor, so each part picks up exactly where the
-    /// unsplit core would have. Fails only if a pending entry cannot be
-    /// rescheduled on a fresh calendar (impossible for a pre-run core, but
-    /// surfaced as an error rather than a panic so a fuzz campaign records
-    /// it instead of aborting).
-    pub(crate) fn split(&mut self, chunk: usize) -> Result<Vec<Core>, SimError> {
-        let entries = self.cal.drain_entries();
-        let pes = std::mem::take(&mut self.pes);
-        let shards = pes.len().div_ceil(chunk);
-        let mut parts: Vec<Core> = (0..shards)
-            .map(|s| Core {
-                base: s * chunk,
-                pes: Vec::with_capacity(chunk),
-                cal: Calendar::new(),
-                barrier_counts: self.barrier_counts.clone(),
-                progress: Cycle::ZERO,
-                fsummary: FaultSummary::default(),
-                emit: Vec::new(),
-                intents: Vec::new(),
-                observing: self.observing,
-                pure_local: self.pure_local,
-            })
-            .collect();
-        for (i, pe) in pes.into_iter().enumerate() {
-            parts[i / chunk].pes.push(pe);
-        }
-        for (key, ev) in entries {
-            // Uncounted: these entries were counted when first scheduled;
-            // repartitioning must not inflate `calendar.pushes` at
-            // `--shards > 1`.
-            parts[key.pe as usize / chunk].cal.push_uncounted(key, ev)?;
-        }
-        Ok(parts)
-    }
-
-    /// Merge `parts` (in shard order) back into this emptied core so the
-    /// machine can report and be inspected exactly as after a single-shard
-    /// run. Pending calendar entries are dropped — reassembly happens at
-    /// quiescence or after an error, and in both cases the oracle's
-    /// leftover events are equally unobservable.
-    pub(crate) fn reassemble(&mut self, parts: Vec<Core>) {
-        debug_assert!(self.pes.is_empty(), "reassemble into a non-split core");
-        for (i, part) in parts.into_iter().enumerate() {
-            if i == 0 {
-                // Only the coordinator-owning shard ever mutates the
-                // barrier arrival counts.
-                self.barrier_counts = part.barrier_counts;
-            }
-            self.progress = self.progress.max(part.progress);
-            self.fsummary.dma_stalls += part.fsummary.dma_stalls;
-            self.fsummary.retries += part.fsummary.retries;
-            self.fsummary.stale_responses += part.fsummary.stale_responses;
-            self.pes.extend(part.pes);
-        }
-    }
-
-    /// Threads still live (suspended or queued) on this core's processors.
+    /// Threads still live (suspended or queued).
     pub(crate) fn suspended(&self) -> usize {
         self.pes.iter().map(|p| p.live_threads).sum()
     }
 
-    /// FIFO-within-priority violations observed by this core's queues.
+    /// FIFO-within-priority violations observed by the packet queues.
     pub(crate) fn fifo_violations(&self) -> u64 {
         self.pes.iter().map(|p| p.queue.fifo_violations).sum()
     }
 
     /// Mint the canonical key for the next lane-`lane` event homed on `pe`.
     fn lane_key(&mut self, at: Cycle, pe: PeId, lane: u8) -> EvKey {
-        let p = &mut self.pes[pe.index() - self.base];
+        let p = &mut self.pes[pe.index()];
         let ctr = match lane {
             LANE_DISPATCH => &mut p.ev_dispatch_seq,
             LANE_LOCAL => &mut p.ev_local_seq,
@@ -803,57 +796,22 @@ impl Core {
         }
     }
 
-    /// Stage a trace emission (no-op when observation is off).
+    /// Emit a trace line (no-op when observation is off).
     #[inline]
     fn record(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
-        if self.observing {
-            self.emit.push(TraceEvent { at, pe, kind });
+        if self.obs.enabled() {
+            self.obs.on(at, pe, kind);
         }
     }
 
-    /// Stage a packet for the network. When the model's loopback is pure
-    /// and the packet stays on `src`, the arrival is predicted and
-    /// scheduled inline so the core can keep executing inside its window;
-    /// replay verifies the prediction against the real route call instead
-    /// of delivering a second copy.
-    fn stage_route(&mut self, depart: Cycle, src: PeId, pkt: Packet) -> Result<(), SimError> {
-        let mut predicted = None;
-        if let Some(hop) = self.pure_local {
-            if pkt.dst() == src {
-                let arrival = depart + hop;
-                self.cal.push(
-                    EvKey::net(arrival, src, src, depart, 0),
-                    Ev::Arrive(src, pkt, true),
-                )?;
-                predicted = Some(arrival);
-            }
-        }
-        self.intents.push(RouteIntent {
-            depart,
-            src,
-            pkt,
-            predicted,
-        });
-        Ok(())
+    /// Buffer a packet for the network; it is routed once the current
+    /// event's handler returns.
+    fn send(&mut self, depart: Cycle, src: PeId, pkt: Packet) {
+        self.sends.push(NetSend { depart, src, pkt });
     }
 
-    /// Process one popped event entirely against core-local state, staging
-    /// trace emissions and network route intents instead of applying them.
-    /// The returned record tells the replay pass how far this event's
-    /// staged effects extend and whether processing failed.
-    pub(crate) fn process_event(&mut self, sh: &Shared<'_>, key: EvKey, ev: Ev) -> PopRecord {
-        let via_net = matches!(ev, Ev::Arrive(_, _, true));
-        let error = self.handle(sh, key.at, ev).err();
-        PopRecord {
-            key,
-            via_net,
-            emit_end: self.emit.len() as u32,
-            int_end: self.intents.len() as u32,
-            error,
-        }
-    }
-
-    fn handle(&mut self, sh: &Shared<'_>, t: Cycle, ev: Ev) -> Result<(), SimError> {
+    /// Run the handler of one popped event.
+    pub(crate) fn handle(&mut self, sh: &Shared<'_>, t: Cycle, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::Arrive(pe, pkt, via_net) => {
                 self.progress = self.progress.max(t);
@@ -899,9 +857,8 @@ impl Core {
             return Ok(());
         };
         let pe_idx = pe_id.index();
-        let li = pe_idx - self.base;
         let (pkt, attempts) = {
-            let pe = &mut self.pes[li];
+            let pe = &mut self.pes[pe_idx];
             let Some(frame) = pe.frames.get_mut(fid) else {
                 return Ok(());
             };
@@ -927,8 +884,8 @@ impl Core {
         };
         self.progress = self.progress.max(t);
         self.fsummary.retries += 1;
-        let depart = self.pes[li].dma.obu_depart(t);
-        self.stage_route(depart, pe_id, pkt)?;
+        let depart = self.pes[pe_idx].dma.obu_depart(t);
+        self.send(depart, pe_id, pkt);
         let shift = attempts.min(16);
         let delay = (u64::from(timeout) << shift).min(u64::from(backoff_cap.max(timeout)));
         let key = self.lane_key(depart + delay, pe_id, LANE_RETRY);
@@ -945,24 +902,14 @@ impl Core {
         pkt: Packet,
     ) -> Result<(), SimError> {
         let spill_ppm = sh.cfg.faults.as_ref().map_or(0, |s| s.spill_ppm);
-        let Core {
-            base,
-            pes,
-            cal,
-            emit,
-            observing,
-            ..
-        } = self;
-        let pe = &mut pes[pe_id.index() - *base];
+        let Core { pes, cal, obs, .. } = self;
+        let pe = &mut pes[pe_id.index()];
         let force_spill = match pe.spill_rng.as_mut() {
             Some(rng) => rng.chance_ppm(spill_ppm),
             None => false,
         };
-        let mut sink = Sink {
-            buf: if *observing { Some(emit) } else { None },
-        };
         pe.queue
-            .push_probed(pkt, force_spill, t, pe_id, sink.as_probe());
+            .push_probed(pkt, force_spill, t, pe_id, obs.as_probe());
         if !pe.dispatch_scheduled {
             let at = t.max(pe.busy_until);
             pe.dispatch_scheduled = true;
@@ -1002,14 +949,9 @@ impl Core {
                     .map_or((0, 0), |s| (s.dma_stall_ppm, s.dma_stall_cycles));
                 let outcome = {
                     let Core {
-                        base,
-                        pes,
-                        emit,
-                        observing,
-                        fsummary,
-                        ..
+                        pes, obs, fsummary, ..
                     } = self;
-                    let pe = &mut pes[pe_id.index() - *base];
+                    let pe = &mut pes[pe_id.index()];
                     // An injected DMA stall holds the request at the IBU
                     // before the by-pass path services it.
                     let stalled = pe
@@ -1022,14 +964,11 @@ impl Core {
                     } else {
                         t
                     };
-                    let mut sink = Sink {
-                        buf: if *observing { Some(emit) } else { None },
-                    };
                     pe.dma
-                        .service_probed(t, &pkt, &mut pe.mem, sink.as_probe())?
+                        .service_probed(t, &pkt, &mut pe.mem, obs.as_probe())?
                 };
                 for (depart, resp) in outcome.responses {
-                    self.stage_route(depart, pe_id, resp)?;
+                    self.send(depart, pe_id, resp);
                 }
                 Ok(())
             }
@@ -1039,7 +978,7 @@ impl Core {
             PacketKind::ReadResp if bypass && pkt.continuation().slot == SLOT_DATA => {
                 let cont = pkt.continuation();
                 let retry_armed = sh.retry_armed();
-                let pe = &mut self.pes[pe_id.index() - self.base];
+                let pe = &mut self.pes[pe_id.index()];
                 let is_block = matches!(
                     pe.frames.get(cont.frame).map(|f| f.wait),
                     Some(Wait::Block { .. })
@@ -1132,23 +1071,13 @@ fn instantiate(sh: &Shared<'_>, entry: u32, pe: PeId, arg: u32) -> Result<Thread
 impl Core {
     fn on_dispatch(&mut self, sh: &Shared<'_>, t: Cycle, pe_id: PeId) -> Result<(), SimError> {
         let pe_idx = pe_id.index();
-        let li = pe_idx - self.base;
         let costs = sh.cfg.costs;
         let (pkt, spilled, start) = {
-            let Core {
-                base,
-                pes,
-                emit,
-                observing,
-                ..
-            } = &mut *self;
-            let pe = &mut pes[pe_idx - *base];
+            let Core { pes, obs, .. } = &mut *self;
+            let pe = &mut pes[pe_idx];
             pe.dispatch_scheduled = false;
             let start = t.max(pe.busy_until);
-            let mut sink = Sink {
-                buf: if *observing { Some(emit) } else { None },
-            };
-            let Some((pkt, spilled)) = pe.queue.pop_probed(start, pe_id, sink.as_probe()) else {
+            let Some((pkt, spilled)) = pe.queue.pop_probed(start, pe_id, obs.as_probe()) else {
                 return Ok(());
             };
             // EXU idle between the last burst and this dispatch: if this
@@ -1159,8 +1088,8 @@ impl Core {
                 pe.stats.breakdown.comm += gap;
             }
             pe.stats.dispatches += 1;
-            if sink.enabled() {
-                sink.on(start, pe_id, TraceKind::Dispatch { pkt: pkt.kind });
+            if obs.enabled() {
+                obs.on(start, pe_id, TraceKind::Dispatch { pkt: pkt.kind });
             }
             (pkt, spilled, start)
         };
@@ -1183,7 +1112,7 @@ impl Core {
                 now += u64::from(costs.context_switch);
                 ch.switch += u64::from(costs.context_switch);
                 let fid = {
-                    let pe = &mut self.pes[li];
+                    let pe = &mut self.pes[pe_idx];
                     pe.live_threads += 1;
                     pe.next_uid += 1;
                     let fid = pe.frames.alloc(Frame {
@@ -1229,7 +1158,7 @@ impl Core {
                         let mut resume = true;
                         let mut stale = false;
                         {
-                            let pe = &mut self.pes[li];
+                            let pe = &mut self.pes[pe_idx];
                             match pe.frames.get_mut(fid) {
                                 None if retry_armed => stale = true,
                                 None => {
@@ -1311,7 +1240,7 @@ impl Core {
                     }
                     SLOT_POLL => {
                         let released = {
-                            let pe = &self.pes[li];
+                            let pe = &self.pes[pe_idx];
                             let frame = pe.frames.get(fid).ok_or_else(|| SimError::Workload {
                                 reason: format!("poll for dead frame {fid} on {pe_id}"),
                             })?;
@@ -1325,7 +1254,7 @@ impl Core {
                         if released {
                             now += u64::from(costs.context_switch);
                             ch.switch += u64::from(costs.context_switch);
-                            self.pes[li]
+                            self.pes[pe_idx]
                                 .frames
                                 .get_mut(fid)
                                 .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?
@@ -1339,7 +1268,7 @@ impl Core {
                             // Re-poll after the configured interval.
                             now += 2;
                             ch.comm += 2;
-                            self.pes[li].stats.switches.iter_sync += 1;
+                            self.pes[pe_idx].stats.switches.iter_sync += 1;
                             out.push(Outgoing::LocalAt {
                                 at: now
                                     + u64::from(costs.barrier_poll_interval)
@@ -1350,7 +1279,7 @@ impl Core {
                     }
                     SLOT_SEQ => {
                         let satisfied = {
-                            let pe = &self.pes[li];
+                            let pe = &self.pes[pe_idx];
                             let frame = pe.frames.get(fid).ok_or_else(|| SimError::Workload {
                                 reason: format!("seq wake for dead frame {fid} on {pe_id}"),
                             })?;
@@ -1368,7 +1297,7 @@ impl Core {
                         if satisfied {
                             now += u64::from(costs.context_switch);
                             ch.switch += u64::from(costs.context_switch);
-                            self.pes[li]
+                            self.pes[pe_idx]
                                 .frames
                                 .get_mut(fid)
                                 .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?
@@ -1381,7 +1310,7 @@ impl Core {
                             // thread-sync switch.
                             now += 2;
                             ch.switch += 2;
-                            let pe = &mut self.pes[li];
+                            let pe = &mut self.pes[pe_idx];
                             pe.stats.switches.thread_sync += 1;
                             let frame = pe
                                 .frames
@@ -1395,13 +1324,11 @@ impl Core {
                     SLOT_YIELD => {
                         now += u64::from(costs.context_switch);
                         ch.switch += u64::from(costs.context_switch);
-                        let frame =
-                            self.pes[li]
-                                .frames
-                                .get_mut(fid)
-                                .ok_or_else(|| SimError::Workload {
-                                    reason: format!("yield resume for dead frame {fid}"),
-                                })?;
+                        let frame = self.pes[pe_idx].frames.get_mut(fid).ok_or_else(|| {
+                            SimError::Workload {
+                                reason: format!("yield resume for dead frame {fid}"),
+                            }
+                        })?;
                         frame.wait = Wait::Ready;
                         self.record(now, pe_id, TraceKind::ThreadResume { frame: fid });
                         self.run_burst(sh, pe_idx, fid, &mut now, &mut ch, &mut out)?;
@@ -1425,7 +1352,7 @@ impl Core {
                     for j in 0..sh.cfg.num_pes {
                         now += u64::from(costs.send_packet);
                         ch.switch += u64::from(costs.send_packet);
-                        let depart = self.pes[li].dma.obu_depart(now);
+                        let depart = self.pes[pe_idx].dma.obu_depart(now);
                         let target = PeId(j as u16);
                         let rel = Packet {
                             kind: PacketKind::SyncRelease,
@@ -1438,7 +1365,7 @@ impl Core {
                             idx: 0,
                         };
                         out.push(Outgoing::Net { depart, pkt: rel });
-                        self.pes[li].stats.packets_sent += 1;
+                        self.pes[pe_idx].stats.packets_sent += 1;
                     }
                 }
             }
@@ -1446,7 +1373,7 @@ impl Core {
                 let id = pkt.global_addr().offset as usize;
                 now += 2;
                 ch.switch += 2;
-                self.pes[li].barriers[id].releases += 1;
+                self.pes[pe_idx].barriers[id].releases += 1;
             }
             // EM-4 ablation: remote accesses consume EXU cycles as
             // one-instruction threads.
@@ -1458,7 +1385,7 @@ impl Core {
 
         // Commit charges and schedule follow-ups.
         {
-            let pe = &mut self.pes[li];
+            let pe = &mut self.pes[pe_idx];
             pe.busy_until = now;
             pe.stats.breakdown.compute += ch.compute;
             pe.stats.breakdown.overhead += ch.overhead;
@@ -1471,7 +1398,7 @@ impl Core {
         self.record(now, pe_id, TraceKind::DispatchEnd);
         for o in out {
             match o {
-                Outgoing::Net { depart, pkt } => self.stage_route(depart, pe_id, pkt)?,
+                Outgoing::Net { depart, pkt } => self.send(depart, pe_id, pkt),
                 Outgoing::LocalAt { at, pkt } => {
                     let key = self.lane_key(at, pe_id, LANE_LOCAL);
                     self.cal.push(key, Ev::Arrive(pe_id, pkt, false))?
@@ -1483,7 +1410,7 @@ impl Core {
             }
         }
         let redispatch = {
-            let pe = &mut self.pes[li];
+            let pe = &mut self.pes[pe_idx];
             if !pe.queue.is_empty() && !pe.dispatch_scheduled {
                 pe.dispatch_scheduled = true;
                 Some(pe.busy_until)
@@ -1511,7 +1438,7 @@ impl Core {
         out: &mut Vec<Outgoing>,
     ) -> Result<(), SimError> {
         let costs = sh.cfg.costs;
-        let pe = &mut self.pes[pe_idx - self.base];
+        let pe = &mut self.pes[pe_idx];
         match pkt.kind {
             PacketKind::Write => {
                 *now += u64::from(costs.dma_service);
@@ -1571,17 +1498,8 @@ impl Core {
         };
         let entries = sh.entries;
         let barrier_defs = sh.barrier_defs;
-        let Core {
-            base,
-            pes,
-            emit,
-            observing,
-            ..
-        } = self;
-        let mut sink = Sink {
-            buf: if *observing { Some(emit) } else { None },
-        };
-        let pe = &mut pes[pe_idx - *base];
+        let Core { pes, obs, .. } = self;
+        let pe = &mut pes[pe_idx];
 
         loop {
             let Pe {
@@ -1774,8 +1692,8 @@ impl Core {
                     out.push(Outgoing::Net { depart, pkt: req });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
+                    if obs.enabled() {
+                        obs.on(
                             *now,
                             pe_id,
                             TraceKind::ThreadSuspend {
@@ -1826,8 +1744,8 @@ impl Core {
                     out.push(Outgoing::Net { depart, pkt: req });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
+                    if obs.enabled() {
+                        obs.on(
                             *now,
                             pe_id,
                             TraceKind::ThreadSuspend {
@@ -1889,8 +1807,8 @@ impl Core {
                     });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
+                    if obs.enabled() {
+                        obs.on(
                             *now,
                             pe_id,
                             TraceKind::ThreadSuspend {
@@ -1922,8 +1840,8 @@ impl Core {
                     pe.stats.switches.thread_sync += 1;
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
+                    if obs.enabled() {
+                        obs.on(
                             *now,
                             pe_id,
                             TraceKind::ThreadSuspend {
@@ -1947,8 +1865,8 @@ impl Core {
                     });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
+                    if obs.enabled() {
+                        obs.on(
                             *now,
                             pe_id,
                             TraceKind::ThreadSuspend {
@@ -1964,8 +1882,8 @@ impl Core {
                     ch.switch += u64::from(costs.context_switch);
                     pe.live_threads -= 1;
                     pe.frames.free(fid);
-                    if sink.enabled() {
-                        sink.on(*now, pe_id, TraceKind::ThreadRetire { frame: fid });
+                    if obs.enabled() {
+                        obs.on(*now, pe_id, TraceKind::ThreadRetire { frame: fid });
                     }
                     return Ok(());
                 }

@@ -3,7 +3,7 @@
 //! uninterrupted run — reports, memories, and under either driver.
 
 use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
-use emx_runtime::{config_digest, Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
+use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
 
 const NPES: u16 = 4;
 
@@ -60,10 +60,8 @@ impl ThreadBody for Relay {
     }
 }
 
-fn build(shards: usize) -> Machine {
-    let mut cfg = MachineConfig::with_pes(usize::from(NPES));
-    cfg.shards = shards;
-    let mut m = Machine::new(cfg).unwrap();
+fn build() -> Machine {
+    let mut m = Machine::new(MachineConfig::with_pes(usize::from(NPES))).unwrap();
     let entry = m.register_entry("relay", |_pe, _arg| Box::new(Relay { step: 0, carry: 0 }));
     m.define_barrier(1);
     for pe in 0..NPES {
@@ -83,7 +81,7 @@ fn final_words(m: &Machine) -> Vec<u32> {
 
 #[test]
 fn restore_at_every_boundary_matches_uninterrupted() {
-    let mut reference = build(1);
+    let mut reference = build();
     let ref_report = reference.run().unwrap();
     let ref_words = final_words(&reference);
 
@@ -91,7 +89,7 @@ fn restore_at_every_boundary_matches_uninterrupted() {
     // quiesces within the budget, snapshotting and resuming at each pause.
     let mut k = 1;
     loop {
-        let mut paused = build(1);
+        let mut paused = build();
         match paused.step_events(k, emx_core::Cycle::new(emx_runtime::DEFAULT_FUEL)) {
             Ok(None) => {}
             Ok(Some(report)) => {
@@ -102,7 +100,7 @@ fn restore_at_every_boundary_matches_uninterrupted() {
         }
         let snap = paused.snapshot().unwrap();
 
-        let mut resumed = build(1);
+        let mut resumed = build();
         resumed.restore(&snap).unwrap();
         let report = resumed.run().unwrap();
         assert_eq!(report, ref_report, "resume after {k} events diverged");
@@ -119,47 +117,48 @@ fn restore_at_every_boundary_matches_uninterrupted() {
 
 /// Restore a snapshot into a fresh shell and immediately re-serialize it.
 fn resumed_shell_snapshot(snap: &str) -> String {
-    let mut shell = build(1);
+    let mut shell = build();
     shell.restore(snap).unwrap();
     shell.snapshot().unwrap()
 }
 
 #[test]
-fn restored_machine_resumes_under_sharded_driver() {
-    let mut reference = build(1);
+fn restored_machine_resumes_under_step_events() {
+    let mut reference = build();
     let ref_report = reference.run().unwrap();
     let ref_words = final_words(&reference);
 
-    let mut paused = build(1);
-    assert!(paused
-        .step_events(6, emx_core::Cycle::new(emx_runtime::DEFAULT_FUEL))
-        .unwrap()
-        .is_none());
+    let fuel = emx_core::Cycle::new(emx_runtime::DEFAULT_FUEL);
+    let mut paused = build();
+    assert!(paused.step_events(6, fuel).unwrap().is_none());
     let snap = paused.snapshot().unwrap();
 
-    for shards in [2, 4] {
-        let mut resumed = build(shards);
-        resumed.restore(&snap).unwrap();
-        let report = resumed.run().unwrap();
-        assert_eq!(report, ref_report, "sharded resume ({shards}) diverged");
-        assert_eq!(final_words(&resumed), ref_words);
-    }
+    // Finish the restored shell one event at a time instead of with `run`.
+    let mut resumed = build();
+    resumed.restore(&snap).unwrap();
+    let report = loop {
+        if let Some(report) = resumed.step_events(1, fuel).unwrap() {
+            break report;
+        }
+    };
+    assert_eq!(report, ref_report, "stepped resume diverged");
+    assert_eq!(final_words(&resumed), ref_words);
 }
 
 #[test]
 fn pre_run_snapshot_restores_the_initial_state() {
-    let m = build(1);
+    let m = build();
     let snap = m.snapshot().unwrap();
-    let mut resumed = build(1);
+    let mut resumed = build();
     resumed.restore(&snap).unwrap();
     let report = resumed.run().unwrap();
-    let mut reference = build(1);
+    let mut reference = build();
     assert_eq!(report, reference.run().unwrap());
 }
 
 #[test]
 fn restore_rejects_config_mismatch() {
-    let m = build(1);
+    let m = build();
     let snap = m.snapshot().unwrap();
     let mut other = Machine::new(MachineConfig::with_pes(8)).unwrap();
     let err = other.restore(&snap).unwrap_err();
@@ -169,12 +168,10 @@ fn restore_rejects_config_mismatch() {
 
 #[test]
 fn restore_rejects_entry_table_mismatch() {
-    let m = build(1);
+    let m = build();
     let snap = m.snapshot().unwrap();
     // Same config, different registration: restore must refuse.
-    let mut cfg = MachineConfig::with_pes(usize::from(NPES));
-    cfg.shards = 1;
-    let mut shell = Machine::new(cfg).unwrap();
+    let mut shell = Machine::new(MachineConfig::with_pes(usize::from(NPES))).unwrap();
     shell.register_entry("impostor", |_pe, _arg| {
         Box::new(Relay { step: 0, carry: 0 })
     });
@@ -185,20 +182,13 @@ fn restore_rejects_entry_table_mismatch() {
 
 #[test]
 fn restore_rejects_tampered_text() {
-    let m = build(1);
+    let m = build();
     let snap = m.snapshot().unwrap();
     let tampered = snap.replacen("s meta", "s mata", 1);
     assert!(matches!(
-        build(1).restore(&tampered),
+        build().restore(&tampered),
         Err(SimError::SnapshotInvalid { .. })
     ));
-}
-
-#[test]
-fn sharded_config_digest_is_normalized() {
-    let a = config_digest(build(1).config());
-    let b = config_digest(build(4).config());
-    assert_eq!(a, b, "shard count must not change the snapshot identity");
 }
 
 /// A body without checkpoint hooks: snapshot must fail loudly once such a

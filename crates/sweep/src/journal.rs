@@ -191,8 +191,6 @@ fn faults_parse(w: &str) -> Option<FaultSpec> {
 
 /// Render a [`RunSpec`] as one self-contained journal line: `key=value`
 /// tokens, every field exactly once, invertible by [`spec_from_line`].
-/// Unlike [`RunSpec::canonical`] this *includes* `shards` — a journal
-/// replays the invocation, host knobs and all.
 pub fn spec_to_line(s: &RunSpec) -> String {
     let opt = |v: Option<u64>| match v {
         Some(v) => v.to_string(),
@@ -200,7 +198,7 @@ pub fn spec_to_line(s: &RunSpec) -> String {
     };
     format!(
         "workload={} pes={} per_pe={} threads={} seed={} comm_only={} block_read={} \
-         point_cycles={} service={} prio_responses={} net={} preset={} shards={} faults={}",
+         point_cycles={} service={} prio_responses={} net={} preset={} faults={}",
         s.workload.name(),
         s.pes,
         s.per_pe,
@@ -216,7 +214,6 @@ pub fn spec_to_line(s: &RunSpec) -> String {
         s.priority_read_responses,
         net_word(s.net_model),
         s.preset.name(),
-        s.shards,
         match &s.faults {
             Some(f) => faults_word(f),
             None => "none".into(),
@@ -276,7 +273,6 @@ pub fn spec_from_line(line: &str) -> Result<RunSpec, String> {
             "preset" => {
                 spec.preset = CostPreset::parse(value).ok_or_else(|| field("unknown preset"))?;
             }
-            "shards" => spec.shards = value.parse().map_err(|_| field("bad shards"))?,
             "faults" => {
                 spec.faults = match value {
                     "none" => None,
@@ -287,8 +283,8 @@ pub fn spec_from_line(line: &str) -> Result<RunSpec, String> {
         }
         seen += 1;
     }
-    if seen != 14 {
-        return bad(format!("{seen} fields, want 14"));
+    if seen != 13 {
+        return bad(format!("{seen} fields, want 13"));
     }
     Ok(spec)
 }
@@ -675,7 +671,6 @@ mod tests {
         s.priority_read_responses = true;
         s.net_model = NetModelKind::FatTree { arity: 3 };
         s.preset = CostPreset::Modern;
-        s.shards = 4;
         let mut f = FaultSpec::with_loss(41, 10_000);
         f.dup_ppm = 5;
         f.delay_ppm = 7;
@@ -712,6 +707,27 @@ mod tests {
             spec.net_model = net;
             assert_eq!(spec_from_line(&spec_to_line(&spec)).unwrap(), spec);
         }
+    }
+
+    #[test]
+    fn a_journal_with_a_shards_field_fails_to_load() {
+        // Spec lines written before the `shards` field was removed carry
+        // it; a journal is a strict format, so they must not load with the
+        // key silently ignored.
+        let line = "workload=bitonic-sort pes=4 per_pe=64 threads=1 seed=none comm_only=true \
+                    block_read=false point_cycles=none service=bypass prio_responses=false \
+                    net=omega preset=paper shards=1 faults=none";
+        assert!(spec_from_line(&line.replace(" shards=1", "")).is_ok());
+        let err = spec_from_line(line).unwrap_err();
+        assert_eq!(err, "bad spec line: unknown field \"shards\"");
+        let path = scratch("shards-field");
+        fs::write(
+            &path,
+            format!("{JOURNAL_FORMAT}\nmode sweep\nlabel x\nspec 0 |{line}\nend-header 1\n"),
+        )
+        .unwrap();
+        assert!(load(&path).unwrap_err().ends_with(&err));
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

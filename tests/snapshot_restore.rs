@@ -1,30 +1,26 @@
 //! Checkpoint/restore on real workloads: a small FFT and BFS run,
-//! snapshotted at every k-th event boundary (k ∈ {1, 7, 64}), restored
-//! into fresh shells at shard counts {1, 2, 4}, must finish with the
-//! exact report and verified output of the uninterrupted run.
+//! snapshotted at every k-th event boundary (k ∈ {1, 7, 64}) and restored
+//! into fresh shells, must finish with the exact report and verified
+//! output of the uninterrupted run.
 
 use emx::prelude::*;
 use emx::stats::digest::report_canonical_text;
 
 const STRIDES: [u64; 3] = [1, 7, 64];
-const SHARDS: [usize; 3] = [1, 2, 4];
 
-fn cfg(p: usize, shards: usize) -> MachineConfig {
+fn cfg(p: usize) -> MachineConfig {
     let mut c = MachineConfig::with_pes(p);
     c.local_memory_words = 1 << 14;
-    c.shards = shards;
     c
 }
 
 /// Drive `machine` in `stride`-event steps; at each pause snapshot it,
 /// restore into a fresh shell built by `build`, run it to completion, and
-/// check the resumed fingerprint against the uninterrupted reference. The
-/// shell's shard count rotates through {1, 2, 4} across checkpoints, so
-/// every stride exercises every driver without cubing the runtime.
+/// check the resumed fingerprint against the uninterrupted reference.
 /// Returns how many checkpoints were exercised.
 fn walk_checkpoints(
     mut machine: Machine,
-    build: impl Fn(usize) -> Machine,
+    build: impl Fn() -> Machine,
     stride: u64,
     ref_report: &RunReport,
 ) -> usize {
@@ -45,65 +41,64 @@ fn walk_checkpoints(
             Err(e) => panic!("step_events failed at stride {stride}: {e}"),
         }
         let snap = machine.snapshot().unwrap();
-        let shards = SHARDS[checkpoints % SHARDS.len()];
         checkpoints += 1;
-        let mut resumed = build(shards);
+        let mut resumed = build();
         resumed.restore(&snap).unwrap();
         let report = resumed.run().unwrap();
         assert_eq!(
             report_canonical_text(&report),
             ref_text,
-            "resume diverged (stride {stride}, checkpoint {checkpoints}, shards {shards})"
+            "resume diverged (stride {stride}, checkpoint {checkpoints})"
         );
     }
 }
 
 #[test]
-fn fft_checkpoints_are_transparent_at_any_stride_and_shard_count() {
+fn fft_checkpoints_are_transparent_at_any_stride() {
     let params = FftParams::comm_only(32, 2);
-    let build = |shards: usize| build_fft(&cfg(4, shards), &params, |_| {}).unwrap();
+    let build = || build_fft(&cfg(4), &params, |_| {}).unwrap();
 
-    let mut reference = build(1);
+    let mut reference = build();
     let ref_report = reference.run().unwrap();
     // The uninterrupted run itself verifies against the host oracle.
     finish_fft(&reference, &params, ref_report.clone()).unwrap();
 
     for stride in STRIDES {
-        let n = walk_checkpoints(build(1), build, stride, &ref_report);
+        let n = walk_checkpoints(build(), build, stride, &ref_report);
         assert!(n > 0, "stride {stride} never paused mid-run");
     }
 }
 
 #[test]
-fn bfs_checkpoints_are_transparent_at_any_stride_and_shard_count() {
+fn bfs_checkpoints_are_transparent_at_any_stride() {
     let params = BfsParams::new(32, 2);
-    let build = |shards: usize| build_bfs(&cfg(4, shards), &params, |_| {}).unwrap();
+    let build = || build_bfs(&cfg(4), &params, |_| {}).unwrap();
 
-    let mut reference = build(1);
+    let mut reference = build();
     let ref_report = reference.run().unwrap();
     finish_bfs(&reference, &params, ref_report.clone()).unwrap();
 
     for stride in STRIDES {
-        let n = walk_checkpoints(build(1), build, stride, &ref_report);
+        let n = walk_checkpoints(build(), build, stride, &ref_report);
         assert!(n > 0, "stride {stride} never paused mid-run");
     }
 }
 
 #[test]
 fn resumed_workload_output_passes_the_sequential_oracle() {
-    // Restore mid-run, finish under a sharded driver, and put the gathered
+    // Restore mid-run, finish in a fresh shell, and put the gathered
     // output through the workload's own verification.
     let params = BfsParams::new(64, 2);
-    let build = |shards: usize| build_bfs(&cfg(4, shards), &params, |_| {}).unwrap();
+    let build = || build_bfs(&cfg(4), &params, |_| {}).unwrap();
 
-    let mut paused = build(1);
+    let mut paused = build();
     assert!(paused
         .step_events(40, Cycle::new(DEFAULT_FUEL))
         .unwrap()
         .is_none());
     let snap = paused.snapshot().unwrap();
 
-    let mut resumed = build(2);
+    let mut resumed = build();
     resumed.restore(&snap).unwrap();
     let report = resumed.run().unwrap();
     let out = finish_bfs(&resumed, &params, report).unwrap();
