@@ -11,11 +11,43 @@
 //! on when it was pushed.
 //!
 //! Keys are globally unique (the lane counters and the strictly monotone
-//! OBU depart times guarantee it), so the heap order is total and a pop
+//! OBU depart times guarantee it), so the key order is total and a pop
 //! sequence is a pure function of the pushed set. Snapshots record the
 //! pending set in this order, and the trace and report digests rely on it.
+//!
+//! # Three tiers
+//!
+//! The calendar is a calendar queue (Brown, CACM 1988) with one-cycle
+//! buckets. A pending event lives in exactly one of three tiers, chosen
+//! when it is pushed by how far ahead of `now` (the last popped cycle) it
+//! is:
+//!
+//! * **`cur`** — the events at `now`, kept sorted by descending key so the
+//!   smallest pops from the end. A push at `now` is a binary-search
+//!   insert.
+//! * **The ring** — [`WINDOW`] buckets covering the cycles
+//!   `(now, now + WINDOW)`, one cycle per bucket, with an occupancy
+//!   bitmap. A push appends to its cycle's bucket, unsorted. The entries
+//!   live in one node slab whose vacated nodes are reused, so a run
+//!   allocates only while the ring grows past its largest size so far.
+//! * **The overflow heap** — a `BinaryHeap` of the events pushed at
+//!   `now + WINDOW` or later: long compute bursts, far OBU departures and
+//!   retry timers. They stay there until their cycle comes up.
+//!
+//! When `cur` is empty, a pop advances `now` to the earlier of the ring's
+//! next occupied cycle (the first set bit of the bitmap after `now`) and
+//! the overflow's smallest cycle. Every event of that cycle, from the
+//! bucket and from the top of the heap, moves into `cur`, and `cur` is
+//! sorted.
+//!
+//! The pop order is exactly the key order, as with one heap: the cycle
+//! `now` advances to is the earliest pending one, every event of it is in
+//! `cur` before the first of them pops, and `cur` is in key order. So no
+//! trace, report or counter digest depends on the tiers, and the unit
+//! tests check the calendar against a `BinaryHeap` oracle through random
+//! interleavings.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use emx_core::{Cycle, PeId, SimError};
@@ -96,23 +128,71 @@ impl<T> PartialOrd for Entry<T> {
     }
 }
 
+/// Cycles covered by the ring of one-cycle buckets: `(now, now + WINDOW)`.
+/// A power of two, so a cycle's bucket is its low bits.
+const WINDOW: u64 = 1024;
+/// Words in the ring's occupancy bitmap.
+const WORDS: usize = WINDOW as usize / 64;
+
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The ring bucket holding the events of cycle `at`.
+#[inline]
+fn slot(at: Cycle) -> usize {
+    (at.get() & (WINDOW - 1)) as usize
+}
+
+/// A ring node: a pending entry linked into its cycle's bucket, or a
+/// vacant node (`entry` is `None`) linked into the free list.
+#[derive(Debug, Clone)]
+struct Node<T> {
+    entry: Option<Entry<T>>,
+    next: u32,
+}
+
 /// A deterministic event calendar ordered by [`EvKey`].
 ///
 /// Mirrors the `EventQueue` contract: pops never go backwards in time, and
 /// scheduling strictly before the last popped time is reported as
-/// [`SimError::EventInPast`].
+/// [`SimError::EventInPast`]. The three tiers are described in the module
+/// docs; every pending event lives in exactly one of them.
 #[derive(Debug, Clone)]
 pub(crate) struct Calendar<T> {
-    heap: BinaryHeap<Entry<T>>,
+    /// The events at `now`, sorted by descending key: the next pop is the
+    /// last element.
+    cur: Vec<Entry<T>>,
+    /// Storage of the ring's entries. Vacated nodes are reused, so the
+    /// ring allocates only when it holds more entries than ever before.
+    nodes: Vec<Node<T>>,
+    /// Head of the list of vacant nodes.
+    free: u32,
+    /// One bucket per cycle of `(now, now + WINDOW)`, indexed by [`slot`]:
+    /// the head of an unsorted list of nodes. The bucket of `now` itself
+    /// is always empty.
+    heads: Box<[u32]>,
+    /// Bit `i` is set when bucket `i` is non-empty.
+    occupied: [u64; WORDS],
+    /// Events that were at `now + WINDOW` or later when pushed.
+    overflow: BinaryHeap<Entry<T>>,
     now: Cycle,
 }
 
 impl<T> Calendar<T> {
     /// An empty calendar at time zero.
     pub fn new() -> Self {
+        Self::empty_at(Cycle::ZERO)
+    }
+
+    fn empty_at(now: Cycle) -> Self {
         Calendar {
-            heap: BinaryHeap::new(),
-            now: Cycle::ZERO,
+            cur: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; WINDOW as usize].into_boxed_slice(),
+            occupied: [0; WORDS],
+            overflow: BinaryHeap::new(),
+            now,
         }
     }
 
@@ -133,24 +213,127 @@ impl<T> Calendar<T> {
                 now: self.now.get(),
             });
         }
-        self.heap.push(Entry { key, payload });
+        let e = Entry { key, payload };
+        if key.at == self.now {
+            let i = self.cur.partition_point(|c| c.key > key);
+            self.cur.insert(i, e);
+        } else if key.at.get() - self.now.get() < WINDOW {
+            self.file_in_ring(e);
+        } else {
+            self.overflow.push(e);
+        }
         Ok(())
+    }
+
+    /// File an entry of `(now, now + WINDOW)` in its cycle's bucket.
+    #[inline]
+    fn file_in_ring(&mut self, e: Entry<T>) {
+        let i = slot(e.key.at);
+        let node = Node {
+            entry: Some(e),
+            next: self.heads[i],
+        };
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        self.heads[i] = n;
+        self.occupied[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The entries of bucket `i`, in list order.
+    fn bucket(&self, i: usize) -> impl Iterator<Item = &Entry<T>> {
+        let mut n = self.heads[i];
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(n as usize)?;
+            n = node.next;
+            node.entry.as_ref()
+        })
+    }
+
+    /// The earliest cycle with a ring entry, if the ring holds any.
+    fn next_ring_cycle(&self) -> Option<Cycle> {
+        // Scan the bitmap from the bucket after `now`'s, wrapping once;
+        // the first word is visited again at the end for its low bits.
+        let start = slot(self.now + 1);
+        let mut w = start / 64;
+        let mut bits = self.occupied[w] & (!0u64 << (start % 64));
+        for _ in 0..=WORDS {
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                let ahead = (i + WINDOW as usize - start) % WINDOW as usize;
+                return Some(self.now + 1 + ahead as u64);
+            }
+            w = (w + 1) % WORDS;
+            bits = self.occupied[w];
+        }
+        None
+    }
+
+    /// Move the clock to the next occupied cycle and fill `cur` with its
+    /// events, sorted; `false` when nothing is pending. Requires an
+    /// empty `cur`.
+    fn advance(&mut self) -> bool {
+        debug_assert!(self.cur.is_empty());
+        let ring = self.next_ring_cycle();
+        let overflow = self.overflow.peek().map(|e| e.key.at);
+        let Some(next) = ring.into_iter().chain(overflow).min() else {
+            return false;
+        };
+        self.now = next;
+        if ring == Some(next) {
+            let i = slot(next);
+            self.occupied[i / 64] &= !(1 << (i % 64));
+            let mut n = std::mem::replace(&mut self.heads[i], NIL);
+            while n != NIL {
+                let node = &mut self.nodes[n as usize];
+                self.cur
+                    .push(node.entry.take().expect("a listed node holds an entry"));
+                let next = node.next;
+                node.next = self.free;
+                self.free = n;
+                n = next;
+            }
+        }
+        // Overflow entries stay in the heap until their cycle comes up:
+        // moving them into the ring as the window slides would handle a
+        // burst of far arrivals twice.
+        while self.overflow.peek().is_some_and(|e| e.key.at == next) {
+            self.cur.push(self.overflow.pop().expect("peeked"));
+        }
+        self.cur.sort_unstable_by_key(|e| Reverse(e.key));
+        true
     }
 
     /// Remove and return the smallest-keyed event, advancing the clock.
     /// Counts the pop and classifies the event by lane when host
     /// profiling is enabled.
     pub fn pop(&mut self) -> Option<(EvKey, T)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.key.at >= self.now, "calendar time went backwards");
-        self.now = e.key.at;
+        if self.cur.is_empty() && !self.advance() {
+            return None;
+        }
+        let e = self.cur.pop()?;
+        debug_assert_eq!(e.key.at, self.now, "calendar bucket out of place");
         emx_hostprof::count_lane(e.key.lane);
         Some((e.key, e.payload))
     }
 
     /// Key of the next event, if any.
     pub fn peek_key(&self) -> Option<EvKey> {
-        self.heap.peek().map(|e| e.key)
+        if let Some(e) = self.cur.last() {
+            return Some(e.key);
+        }
+        let ring = self
+            .next_ring_cycle()
+            .and_then(|t| self.bucket(slot(t)).map(|e| e.key).min());
+        ring.into_iter()
+            .chain(self.overflow.peek().map(|e| e.key))
+            .min()
     }
 
     /// The time of the most recently popped event.
@@ -166,8 +349,10 @@ impl<T> Calendar<T> {
         T: Clone,
     {
         let mut v: Vec<(EvKey, T)> = self
-            .heap
+            .cur
             .iter()
+            .chain(self.nodes.iter().filter_map(|n| n.entry.as_ref()))
+            .chain(self.overflow.iter())
             .map(|e| (e.key, e.payload.clone()))
             .collect();
         v.sort_by_key(|(k, _)| *k);
@@ -176,10 +361,7 @@ impl<T> Calendar<T> {
 
     /// Rebuild a calendar mid-run: clock at `now`, `entries` pending.
     pub fn restore(now: Cycle, entries: Vec<(EvKey, T)>) -> Result<Calendar<T>, SimError> {
-        let mut cal = Calendar {
-            heap: BinaryHeap::new(),
-            now,
-        };
+        let mut cal = Self::empty_at(now);
         for (key, payload) in entries {
             cal.push_uncounted(key, payload)?;
         }
@@ -196,6 +378,8 @@ impl<T> Default for Calendar<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, RngCore, SeedableRng};
 
     fn key(at: u64, pe: u16, lane: u8, a: u64, b: u64) -> EvKey {
         EvKey {
@@ -252,5 +436,169 @@ mod tests {
         let head = c.peek_key().unwrap();
         assert_eq!((head.at, head.pe), (Cycle::new(4), 3));
         assert_eq!(c.pop().unwrap().1, 'y');
+    }
+
+    /// The tier transitions one differential run went through.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Pushes at `now`, into the sorted `cur` tier.
+        at_now: u64,
+        /// Pushes into the ring of one-cycle buckets.
+        in_window: u64,
+        /// Of those, pushes whose bucket lies before `now`'s in the ring.
+        wrapped: u64,
+        /// Pushes at `now + WINDOW` or later, into the overflow heap.
+        beyond: u64,
+        /// Pops that found `cur` and the ring empty and the overflow not.
+        overflow_only: u64,
+        /// Pops that found `cur` empty and the next cycle both in the ring
+        /// and on top of the overflow.
+        both_tiers: u64,
+        /// Pushes rejected as [`SimError::EventInPast`].
+        rejected: u64,
+        /// Calendars rebuilt from their own `entries_sorted`.
+        restored: u64,
+    }
+
+    /// Drive a [`Calendar`] and a `BinaryHeap` oracle through the same
+    /// interleaving and assert they agree at every step. Each op is
+    /// `(what, x, y)`:
+    ///
+    /// * 0 — push at `now`; 1 — push 1..=8 cycles ahead; 2 — push anywhere
+    ///   in the window; 3 — push at the overflow's earliest cycle once the
+    ///   window covers it, else at `now + WINDOW - 1` or `now + WINDOW`;
+    ///   4 — push up to four windows beyond it; 5 — push in the past;
+    /// * 6..=11 — pop one; 12 — restore from `entries_sorted`;
+    /// * 13..=15 — pop up to `y % 32`.
+    ///
+    /// Keys vary in PE, lane and `a`; `b` is a serial number, which keeps
+    /// them unique. Both sides are drained at the end.
+    fn differential(ops: &[(u8, u64, u16)]) -> Coverage {
+        let mut cal: Calendar<u64> = Calendar::new();
+        let mut oracle: BinaryHeap<Reverse<(EvKey, u64)>> = BinaryHeap::new();
+        let mut cov = Coverage::default();
+        let mut serial = 0u64;
+        let pop_both = |cal: &mut Calendar<u64>,
+                        oracle: &mut BinaryHeap<Reverse<(EvKey, u64)>>,
+                        cov: &mut Coverage| {
+            assert_eq!(cal.peek_key(), oracle.peek().map(|e| e.0 .0));
+            if cal.cur.is_empty() {
+                let overflow = cal.overflow.peek().map(|e| e.key.at);
+                match cal.next_ring_cycle() {
+                    None if overflow.is_some() => cov.overflow_only += 1,
+                    Some(t) if overflow == Some(t) => cov.both_tiers += 1,
+                    _ => {}
+                }
+            }
+            let got = cal.pop();
+            let want = oracle.pop().map(|Reverse(e)| e);
+            assert_eq!(got, want);
+            if let Some((k, _)) = got {
+                assert_eq!(cal.now(), k.at);
+            }
+        };
+        for &(what, x, y) in ops {
+            let now = cal.now().get();
+            let at = match what {
+                0 => Some(now),
+                1 => Some(now + 1 + x % 8),
+                2 => Some(now + 1 + x % (WINDOW - 1)),
+                3 => match cal.overflow.peek() {
+                    Some(e) if e.key.at.get() - now < WINDOW => Some(e.key.at.get()),
+                    _ => Some(now + WINDOW - 1 + x % 2),
+                },
+                4 => Some(now + WINDOW + x % (4 * WINDOW)),
+                5 if now > 0 => {
+                    let at = now - 1 - x % now;
+                    let k = key(at, 0, 0, 0, 0);
+                    assert!(matches!(
+                        cal.push(k, 0),
+                        Err(SimError::EventInPast { at: a, now: n }) if a == at && n == now
+                    ));
+                    cov.rejected += 1;
+                    None
+                }
+                6..=11 => {
+                    pop_both(&mut cal, &mut oracle, &mut cov);
+                    None
+                }
+                12 => {
+                    let entries = cal.entries_sorted();
+                    let mut want: Vec<(EvKey, u64)> = oracle.iter().map(|e| e.0).collect();
+                    want.sort();
+                    assert_eq!(entries, want);
+                    cal = Calendar::restore(cal.now(), entries).unwrap();
+                    cov.restored += 1;
+                    None
+                }
+                13..=15 => {
+                    for _ in 0..y % 32 {
+                        pop_both(&mut cal, &mut oracle, &mut cov);
+                    }
+                    None
+                }
+                _ => None,
+            };
+            if let Some(at) = at {
+                match at - now {
+                    0 => cov.at_now += 1,
+                    d if d < WINDOW => {
+                        cov.in_window += 1;
+                        if slot(Cycle::new(at)) < slot(Cycle::new(now)) {
+                            cov.wrapped += 1;
+                        }
+                    }
+                    _ => cov.beyond += 1,
+                }
+                serial += 1;
+                let k = key(at, y % 4, (y >> 2) as u8 % 4, x % 3, serial);
+                cal.push(k, serial).unwrap();
+                oracle.push(Reverse((k, serial)));
+            }
+        }
+        while !oracle.is_empty() {
+            pop_both(&mut cal, &mut oracle, &mut cov);
+        }
+        assert_eq!(cal.pop(), None);
+        assert_eq!(cal.peek_key(), None);
+        cov
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any interleaving of pushes, pops and restores pops exactly the
+        /// oracle's sequence.
+        #[test]
+        fn matches_a_binary_heap_oracle(
+            ops in proptest::collection::vec((0u8..16, any::<u64>(), any::<u16>()), 1..400),
+        ) {
+            differential(&ops);
+        }
+    }
+
+    #[test]
+    fn oracle_runs_cover_every_tier_transition() {
+        let mut rng = StdRng::seed_from_u64(0xCA1E);
+        for _ in 0..8 {
+            let ops: Vec<(u8, u64, u16)> = (0..5_000)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    ((r % 16) as u8, rng.next_u64(), (r >> 32) as u16)
+                })
+                .collect();
+            let cov = differential(&ops);
+            assert!(
+                cov.at_now > 0
+                    && cov.in_window > 0
+                    && cov.wrapped > 0
+                    && cov.beyond > 0
+                    && cov.overflow_only > 0
+                    && cov.both_tiers > 0
+                    && cov.rejected > 0
+                    && cov.restored > 0,
+                "{cov:?}"
+            );
+        }
     }
 }

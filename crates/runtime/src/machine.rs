@@ -293,8 +293,8 @@ pub(crate) struct NetSend {
 }
 
 /// The state event handlers mutate: the processors, the event calendar,
-/// the observation sink and the buffer of packets sent by the current
-/// event.
+/// the observation sink, the buffer of packets sent by the current event
+/// and the scratch buffers the handlers reuse from event to event.
 pub(crate) struct Core {
     pub(crate) pes: Vec<Pe>,
     pub(crate) cal: Calendar<Ev>,
@@ -310,6 +310,11 @@ pub(crate) struct Core {
     /// Packets the current event sent, in send order; empty between
     /// events.
     pub(crate) sends: Vec<NetSend>,
+    /// The follow-ups of the dispatch being handled; empty between events.
+    outgoing: Vec<Outgoing>,
+    /// Responses of the by-pass DMA service being handled; empty between
+    /// events.
+    dma_out: Vec<(Cycle, Packet)>,
 }
 
 /// The immutable tables the event handlers read.
@@ -418,6 +423,8 @@ impl Machine {
                 fsummary: FaultSummary::default(),
                 obs: Observers::default(),
                 sends: Vec::new(),
+                outgoing: Vec::new(),
+                dma_out: Vec::new(),
             },
             entries: Vec::new(),
             barrier_defs: Vec::new(),
@@ -947,29 +954,37 @@ impl Core {
                     .faults
                     .as_ref()
                     .map_or((0, 0), |s| (s.dma_stall_ppm, s.dma_stall_cycles));
-                let outcome = {
-                    let Core {
-                        pes, obs, fsummary, ..
-                    } = self;
-                    let pe = &mut pes[pe_id.index()];
-                    // An injected DMA stall holds the request at the IBU
-                    // before the by-pass path services it.
-                    let stalled = pe
-                        .dma_rng
-                        .as_mut()
-                        .is_some_and(|rng| rng.chance_ppm(stall_ppm));
-                    let t = if stalled {
-                        fsummary.dma_stalls += 1;
-                        t + u64::from(stall_cycles)
-                    } else {
-                        t
-                    };
-                    pe.dma
-                        .service_probed(t, &pkt, &mut pe.mem, obs.as_probe())?
+                let Core {
+                    pes,
+                    obs,
+                    fsummary,
+                    sends,
+                    dma_out,
+                    ..
+                } = self;
+                let pe = &mut pes[pe_id.index()];
+                // An injected DMA stall holds the request at the IBU
+                // before the by-pass path services it.
+                let stalled = pe
+                    .dma_rng
+                    .as_mut()
+                    .is_some_and(|rng| rng.chance_ppm(stall_ppm));
+                let t = if stalled {
+                    fsummary.dma_stalls += 1;
+                    t + u64::from(stall_cycles)
+                } else {
+                    t
                 };
-                for (depart, resp) in outcome.responses {
-                    self.send(depart, pe_id, resp);
-                }
+                // A failed service leaves partial responses behind;
+                // they are never sent.
+                dma_out.clear();
+                pe.dma
+                    .service_probed(t, &pkt, &mut pe.mem, dma_out, obs.as_probe())?;
+                sends.extend(dma_out.drain(..).map(|(depart, pkt)| NetSend {
+                    depart,
+                    src: pe_id,
+                    pkt,
+                }));
                 Ok(())
             }
             // Block-read data words are deposited by the *requester's* IBU,
@@ -1096,7 +1111,9 @@ impl Core {
 
         let mut now = start;
         let mut ch = Charges::default();
-        let mut out: Vec<Outgoing> = Vec::new();
+        // Borrowed from `self` for the dispatch and handed back at the end,
+        // so its capacity is reused.
+        let mut out = std::mem::take(&mut self.outgoing);
         if spilled {
             // Restoring a packet from the on-memory overflow buffer costs
             // extra IBU/memory cycles, charged to switching.
@@ -1396,7 +1413,7 @@ impl Core {
         // value committed to busy_until above, so the profiler can
         // reconstruct per-PE occupancy without the cost model.
         self.record(now, pe_id, TraceKind::DispatchEnd);
-        for o in out {
+        for o in out.drain(..) {
             match o {
                 Outgoing::Net { depart, pkt } => self.send(depart, pe_id, pkt),
                 Outgoing::LocalAt { at, pkt } => {
@@ -1409,6 +1426,7 @@ impl Core {
                 }
             }
         }
+        self.outgoing = out;
         let redispatch = {
             let pe = &mut self.pes[pe_idx];
             if !pe.queue.is_empty() && !pe.dispatch_scheduled {

@@ -270,23 +270,38 @@ impl ThreadBody for SortWorker {
     }
 
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
-        // Compute the merge schedule once the PE number is known.
-        if self.steps.is_none() {
-            let p = ctx.pe.0;
-            let log_p = (ctx.npes as usize).trailing_zeros();
-            let mut steps = Vec::new();
-            for i in 0..log_p {
-                for j in (0..=i).rev() {
-                    let mate = p ^ (1 << j);
-                    let ascending = (p >> (i + 1)) & 1 == 0;
-                    let keep_low = (p < mate) == ascending;
-                    steps.push((mate, keep_low));
-                }
-            }
-            self.steps = Some(steps);
-        }
-        let steps = self.steps.as_ref().expect("set above").clone();
+        // The merge schedule is computed once the PE number is known, and
+        // lent to the state machine for each step.
+        let steps = match self.steps.take() {
+            Some(steps) => steps,
+            None => merge_schedule(ctx.pe.0, ctx.npes),
+        };
+        let action = self.run_phases(ctx, &steps);
+        self.steps = Some(steps);
+        action
+    }
+}
 
+/// Merge steps of PE `p` among `npes`: each step's mate and whether this
+/// PE keeps the low half.
+fn merge_schedule(p: u16, npes: u32) -> Vec<(u16, bool)> {
+    let log_p = npes.trailing_zeros();
+    let mut steps = Vec::new();
+    for i in 0..log_p {
+        for j in (0..=i).rev() {
+            let mate = p ^ (1 << j);
+            let ascending = (p >> (i + 1)) & 1 == 0;
+            let keep_low = (p < mate) == ascending;
+            steps.push((mate, keep_low));
+        }
+    }
+    steps
+}
+
+impl SortWorker {
+    /// Advance the phase machine to the thread's next action, under merge
+    /// schedule `steps`.
+    fn run_phases(&mut self, ctx: &mut ThreadCtx<'_>, steps: &[(u16, bool)]) -> Action {
         loop {
             match self.phase {
                 Phase::Start => {

@@ -4,7 +4,8 @@
 //! profiling"): the deterministic `counters` section is pinned and
 //! byte-identical across `--jobs` values for error-free runs, arming the
 //! sweep heartbeat never changes sweep results, the counting allocator's
-//! totals are monotone, and the trace-digest probe never allocates.
+//! totals are monotone, the trace-digest probe never allocates, and a
+//! probe-free run allocates almost nothing per calendar event.
 //!
 //! Counters are process-global, so every test serializes on one lock and
 //! leaves the gate disabled on exit.
@@ -226,4 +227,37 @@ fn digest_probe_does_not_allocate() {
     drop(guard);
     assert_eq!(fewest, 0, "DigestProbe::on allocated");
     assert_eq!(handle.events(), 30_000);
+}
+
+/// Allocations per popped calendar event over the whole of `run`: set-up,
+/// simulation and verification, with no probe attached.
+fn allocs_per_event(run: impl FnOnce()) -> f64 {
+    hostprof::set_enabled(true);
+    hostprof::reset();
+    let before = hostprof::CountingAlloc::raw_totals().0;
+    run();
+    let allocs = hostprof::CountingAlloc::raw_totals().0 - before;
+    let pops = hostprof::snapshot().sim[hostprof::Sim::CalPops as usize];
+    hostprof::set_enabled(false);
+    assert!(pops > 0, "the run popped no events");
+    allocs as f64 / pops as f64
+}
+
+#[test]
+fn probe_free_runs_allocate_almost_nothing_per_event() {
+    // The event loop reuses its dispatch, DMA-response and calendar
+    // buffers, so what is left is set-up and the per-spawn thread bodies,
+    // spread over every event of the run. A per-event allocation anywhere
+    // on the hot path puts the ratio near or above 1.
+    let _g = LOCK.lock().unwrap();
+    let mut cfg = MachineConfig::with_pes(16);
+    cfg.local_memory_words = 1 << 16;
+    let sort = allocs_per_event(|| {
+        run_bitonic(&cfg, &SortParams::new(16 * 512, 4)).unwrap();
+    });
+    let fft = allocs_per_event(|| {
+        run_fft(&cfg, &FftParams::new(16 * 256, 4)).unwrap();
+    });
+    assert!(sort < 0.01, "bitonic sort: {sort} allocations per event");
+    assert!(fft < 0.01, "FFT: {fft} allocations per event");
 }
