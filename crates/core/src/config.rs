@@ -6,9 +6,13 @@
 //! paper's reported numbers (see each field); everything is adjustable for
 //! sensitivity studies.
 
+use std::fmt;
+use std::str::FromStr;
+
 use serde::{Deserialize, Serialize};
 
 use crate::addr::MAX_PES;
+use crate::codec;
 use crate::error::SimError;
 use crate::faults::FaultSpec;
 use crate::time::EMX_CLOCK_HZ;
@@ -25,6 +29,28 @@ pub enum ServiceMode {
     /// another 1-instruction thread which consumes processor cycles"
     /// (paper §2.1) — the request joins the packet queue and steals EXU time.
     ExuThread,
+}
+
+/// The text form is the one word `bypass` or `exu`.
+impl fmt::Display for ServiceMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ServiceMode::BypassDma => "bypass",
+            ServiceMode::ExuThread => "exu",
+        })
+    }
+}
+
+impl FromStr for ServiceMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ServiceMode, String> {
+        match s {
+            "bypass" => Ok(ServiceMode::BypassDma),
+            "exu" => Ok(ServiceMode::ExuThread),
+            _ => Err(format!("unknown service mode {s:?} (bypass|exu)")),
+        }
+    }
 }
 
 /// Which network model routes packets.
@@ -62,6 +88,54 @@ pub enum NetModelKind {
         /// sub-links.
         arity: u32,
     },
+}
+
+/// The text form is one word: `omega`, `ideal:<latency>`, `crossbar`,
+/// `torus`, `mesh` or `fattree:<arity>`.
+impl fmt::Display for NetModelKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetModelKind::CircularOmega => f.write_str("omega"),
+            NetModelKind::Ideal { latency } => write!(f, "ideal:{latency}"),
+            NetModelKind::FullCrossbar => f.write_str("crossbar"),
+            NetModelKind::Torus2D => f.write_str("torus"),
+            NetModelKind::Mesh2D => f.write_str("mesh"),
+            NetModelKind::FatTree { arity } => write!(f, "fattree:{arity}"),
+        }
+    }
+}
+
+/// Parses the `Display` form, plus the short spellings `--net` accepts:
+/// bare `ideal` (latency 1), bare `fattree` (arity 4) and `fat-tree`.
+impl FromStr for NetModelKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<NetModelKind, String> {
+        let (head, arg) = match s.split_once(':') {
+            Some((head, arg)) => (head, Some(arg)),
+            None => (s, None),
+        };
+        let param = |name: &str, default: u32| arg.map_or(Ok(default), |a| codec::num(name, a));
+        let bare = |model| match arg {
+            None => Ok(model),
+            Some(_) => Err(format!("network {head:?} takes no parameter, got {s:?}")),
+        };
+        match head {
+            "omega" => bare(NetModelKind::CircularOmega),
+            "ideal" => Ok(NetModelKind::Ideal {
+                latency: param("ideal latency", 1)?,
+            }),
+            "crossbar" => bare(NetModelKind::FullCrossbar),
+            "torus" => bare(NetModelKind::Torus2D),
+            "mesh" => bare(NetModelKind::Mesh2D),
+            "fattree" | "fat-tree" => Ok(NetModelKind::FatTree {
+                arity: param("fat-tree arity", 4)?,
+            }),
+            _ => Err(format!(
+                "unknown network {head:?} (omega|ideal[:LAT]|crossbar|torus|mesh|fattree[:ARITY])"
+            )),
+        }
+    }
 }
 
 /// Network timing parameters.
@@ -448,6 +522,35 @@ mod tests {
         assert!(modern.costs.context_switch < paper.costs.context_switch);
         assert_eq!(modern.net.model, paper.net.model, "topology untouched");
         modern.validate().unwrap();
+    }
+
+    #[test]
+    fn net_words_parse_every_cli_spelling_at_full_width() {
+        let parse = |s: &str| s.parse::<NetModelKind>();
+        assert_eq!(parse("omega"), Ok(NetModelKind::CircularOmega));
+        assert_eq!(parse("ideal"), Ok(NetModelKind::Ideal { latency: 1 }));
+        assert_eq!(parse("ideal:5"), Ok(NetModelKind::Ideal { latency: 5 }));
+        assert_eq!(parse("crossbar"), Ok(NetModelKind::FullCrossbar));
+        assert_eq!(parse("torus"), Ok(NetModelKind::Torus2D));
+        assert_eq!(parse("mesh"), Ok(NetModelKind::Mesh2D));
+        for word in ["fattree", "fat-tree"] {
+            assert_eq!(parse(word), Ok(NetModelKind::FatTree { arity: 4 }));
+        }
+        assert_eq!(parse("fat-tree:2"), Ok(NetModelKind::FatTree { arity: 2 }));
+        assert_eq!(
+            parse("ideal:4294967295"),
+            Ok(NetModelKind::Ideal { latency: u32::MAX })
+        );
+        // 2^32 + 1 used to be cast to `ideal:1`.
+        assert_eq!(
+            parse("ideal:4294967297"),
+            Err("ideal latency \"4294967297\" is not a u32".into())
+        );
+        assert!(parse("fattree:x").is_err());
+        assert!(parse("omega:3").is_err(), "omega takes no parameter");
+        assert!(parse("hypercube").is_err());
+        assert_eq!("exu".parse::<ServiceMode>(), Ok(ServiceMode::ExuThread));
+        assert!("ExuThread".parse::<ServiceMode>().is_err());
     }
 
     #[test]

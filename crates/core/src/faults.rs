@@ -10,12 +10,18 @@
 //!
 //! Everything is integer-valued (probabilities in parts-per-million) so a
 //! spec is `Eq`/hashable and participates in sweep cache keys exactly like
-//! every other knob. The spec carries a seed; fault *decisions* are made by
-//! the seeded generators in the `emx-faults` crate, never by wall-clock or
-//! ambient randomness, so a run with a given spec is exactly reproducible.
+//! every other knob; its one text form (`Display`/`FromStr`) is what cache
+//! keys, journals, sidecars and fuzz cases record. The spec carries a seed;
+//! fault *decisions* are made by the seeded generators in the `emx-faults`
+//! crate, never by wall-clock or ambient randomness, so a run with a given
+//! spec is exactly reproducible.
+
+use std::fmt;
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{self, none_or, num, opt};
 use crate::error::SimError;
 
 /// One million: the denominator of every `*_ppm` probability field.
@@ -175,20 +181,19 @@ impl FaultSpec {
         }
         Ok(())
     }
+}
 
-    /// Canonical one-line text rendering, used by sweep cache keys and
-    /// provenance. Every field appears exactly once.
-    pub fn canonical(&self) -> String {
-        let pes = self
-            .frame_cap_pes
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "faults: seed={} drop_ppm={} dup_ppm={} delay_ppm={} max_delay={} spill_ppm={} \
-             dma_stall_ppm={} dma_stall_cycles={} frame_cap={} frame_cap_pes=[{}] \
-             retry_timeout={} retry_backoff_cap={} max_attempts={} check_invariants={}",
+/// The text form is one comma-separated word naming every field once:
+/// `seed:S,drop:P,dup:P,delay:P,max_delay:C,spill:P,dma:P,dma_cycles:C,`
+/// `cap:<none|N>,cap_pes:<-|PE+PE+…>,retry:C,backoff:C,attempts:N,check:B`.
+/// It has no spaces, so it fits in one token of a journal spec line.
+impl fmt::Display for FaultSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pes: Vec<String> = self.frame_cap_pes.iter().map(u16::to_string).collect();
+        write!(
+            f,
+            "seed:{},drop:{},dup:{},delay:{},max_delay:{},spill:{},dma:{},dma_cycles:{},cap:{},\
+             cap_pes:{},retry:{},backoff:{},attempts:{},check:{}",
             self.seed,
             self.drop_ppm,
             self.dup_ppm,
@@ -197,16 +202,54 @@ impl FaultSpec {
             self.spill_ppm,
             self.dma_stall_ppm,
             self.dma_stall_cycles,
-            match self.frame_cap {
-                Some(c) => c.to_string(),
-                None => "none".into(),
+            none_or(self.frame_cap),
+            if pes.is_empty() {
+                "-".into()
+            } else {
+                pes.join("+")
             },
-            pes,
             self.retry_timeout,
             self.retry_backoff_cap,
             self.max_attempts,
-            self.check_invariants,
+            self.check_invariants
         )
+    }
+}
+
+/// Strict inverse of `Display`: every field exactly once, in any order.
+impl FromStr for FaultSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<FaultSpec, String> {
+        let [seed, drop, dup, delay, max_delay, spill, dma, dma_cycles, cap, cap_pes, retry, backoff, attempts, check] =
+            codec::fields(
+                s.split(','),
+                ':',
+                "seed drop dup delay max_delay spill dma dma_cycles cap cap_pes retry backoff \
+                 attempts check",
+            )?;
+        Ok(FaultSpec {
+            seed: num("seed", seed)?,
+            drop_ppm: num("drop", drop)?,
+            dup_ppm: num("dup", dup)?,
+            delay_ppm: num("delay", delay)?,
+            max_delay: num("max_delay", max_delay)?,
+            spill_ppm: num("spill", spill)?,
+            dma_stall_ppm: num("dma", dma)?,
+            dma_stall_cycles: num("dma_cycles", dma_cycles)?,
+            frame_cap: opt("cap", cap)?,
+            frame_cap_pes: match cap_pes {
+                "-" => Vec::new(),
+                list => list
+                    .split('+')
+                    .map(|pe| num("cap_pes", pe))
+                    .collect::<Result<_, _>>()?,
+            },
+            retry_timeout: num("retry", retry)?,
+            retry_backoff_cap: num("backoff", backoff)?,
+            max_attempts: num("attempts", attempts)?,
+            check_invariants: num("check", check)?,
+        })
     }
 }
 
@@ -275,9 +318,45 @@ mod tests {
     }
 
     #[test]
+    fn text_form_rejects_repeated_missing_unknown_and_out_of_range_fields() {
+        let mut f = FaultSpec::with_loss(7, 1000);
+        f.frame_cap = Some(3);
+        f.frame_cap_pes = vec![0, 2];
+        let text = f.to_string();
+        assert_eq!(
+            text,
+            "seed:7,drop:1000,dup:0,delay:0,max_delay:0,spill:0,dma:0,dma_cycles:0,cap:3,\
+             cap_pes:0+2,retry:128,backoff:4096,attempts:0,check:false"
+        );
+        let err = |t: &str| t.parse::<FaultSpec>().unwrap_err();
+        assert_eq!(
+            err(&text.replace("dup:0", "drop:0")),
+            "duplicate field \"drop\""
+        );
+        assert_eq!(
+            err(&text.replace(",check:false", "")),
+            "missing field \"check\""
+        );
+        assert_eq!(err(&format!("{text},shards:1")), "unknown field \"shards\"");
+        // 2^32 used to be truncated to 0 by the fuzz-case parser.
+        assert_eq!(
+            err(&text.replace("drop:1000", "drop:4294967296")),
+            "drop \"4294967296\" is not a u32"
+        );
+        assert!(text
+            .replace("cap_pes:0+2", "cap_pes:65536")
+            .parse::<FaultSpec>()
+            .is_err());
+        assert!(text
+            .replace("cap_pes:0+2", "cap_pes:")
+            .parse::<FaultSpec>()
+            .is_err());
+    }
+
+    #[test]
     fn canonical_covers_every_field() {
         let base = FaultSpec::new(1);
-        let c0 = base.canonical();
+        let c0 = base.to_string();
         for mutate in [
             |f: &mut FaultSpec| f.seed = 2,
             |f: &mut FaultSpec| f.drop_ppm = 1,
@@ -296,7 +375,8 @@ mod tests {
         ] {
             let mut f = base.clone();
             mutate(&mut f);
-            assert_ne!(c0, f.canonical(), "canonical missed a field: {f:?}");
+            assert_ne!(c0, f.to_string(), "the text form missed a field: {f:?}");
+            assert_eq!(f.to_string().parse::<FaultSpec>(), Ok(f));
         }
     }
 }

@@ -21,6 +21,8 @@
 //! * [`event`] — a deterministic time-ordered [`EventQueue`].
 //! * [`config`] — [`MachineConfig`] and
 //!   [`CostModel`].
+//! * [`codec`] — the strict field parsing behind the one `Display`/`FromStr`
+//!   text codec of each config type.
 //! * [`faults`] — [`FaultSpec`], the deterministic
 //!   fault-injection plan threaded through network, processor and runtime.
 //! * [`probe`] — the [`TraceKind`] event vocabulary and
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod event;

@@ -1,10 +1,10 @@
 //! Property-based tests of the core types: packings, wire encodings, time
-//! arithmetic, and event-queue ordering.
+//! arithmetic, event-queue ordering, and the config text codecs.
 
 use emx_core::addr::{MAX_FRAMES, MAX_OFFSET, MAX_PES};
 use emx_core::{
-    Continuation, Cycle, EventQueue, FrameId, GlobalAddr, Packet, PeId, Priority, SlotId,
-    WirePacket,
+    Continuation, Cycle, EventQueue, FaultSpec, FrameId, GlobalAddr, NetModelKind, Packet, PeId,
+    Priority, ServiceMode, SlotId, WirePacket,
 };
 use proptest::prelude::*;
 
@@ -43,6 +43,79 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
             a
         )),
     ]
+}
+
+fn arb_net() -> impl Strategy<Value = NetModelKind> {
+    prop_oneof![
+        Just(NetModelKind::CircularOmega),
+        any::<u32>().prop_map(|latency| NetModelKind::Ideal { latency }),
+        Just(NetModelKind::FullCrossbar),
+        Just(NetModelKind::Torus2D),
+        Just(NetModelKind::Mesh2D),
+        any::<u32>().prop_map(|arity| NetModelKind::FatTree { arity }),
+    ]
+}
+
+fn arb_faults() -> impl Strategy<Value = FaultSpec> {
+    let ppms = (
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+    );
+    let rest = (
+        any::<u32>(),
+        any::<u32>(),
+        (any::<bool>(), any::<u32>()),
+        proptest::collection::vec(any::<u16>(), 0..4),
+        (any::<u32>(), any::<u32>(), any::<u32>()),
+        any::<bool>(),
+    );
+    (any::<u64>(), ppms, rest).prop_map(
+        |(
+            seed,
+            (drop, dup, delay, spill, dma),
+            (max_delay, dma_cycles, cap, pes, retry, check),
+        )| {
+            FaultSpec {
+                seed,
+                drop_ppm: drop,
+                dup_ppm: dup,
+                delay_ppm: delay,
+                max_delay,
+                spill_ppm: spill,
+                dma_stall_ppm: dma,
+                dma_stall_cycles: dma_cycles,
+                frame_cap: cap.0.then_some(cap.1),
+                frame_cap_pes: pes,
+                retry_timeout: retry.0,
+                retry_backoff_cap: retry.1,
+                max_attempts: retry.2,
+                check_invariants: check,
+            }
+        },
+    )
+}
+
+proptest! {
+    /// Every network model, with any parameter, parses back from its one
+    /// word; so does each service mode.
+    #[test]
+    fn net_and_service_words_roundtrip(net in arb_net(), exu in any::<bool>()) {
+        prop_assert_eq!(net.to_string().parse::<NetModelKind>(), Ok(net));
+        let mode = if exu { ServiceMode::ExuThread } else { ServiceMode::BypassDma };
+        prop_assert_eq!(mode.to_string().parse::<ServiceMode>(), Ok(mode));
+    }
+
+    /// Every fault-plan field, including the frame-cap processor list and
+    /// the invariant-checker switch, survives the text form.
+    #[test]
+    fn fault_plan_text_roundtrips(f in arb_faults()) {
+        let text = f.to_string();
+        prop_assert!(!text.contains(char::is_whitespace), "one token: {text}");
+        prop_assert_eq!(text.parse::<FaultSpec>(), Ok(f));
+    }
 }
 
 proptest! {

@@ -212,38 +212,6 @@ impl Args {
     }
 }
 
-/// Parse a `--net` word: `omega | ideal[:LAT] | crossbar | torus | mesh |
-/// fattree[:ARITY]`.
-fn parse_net(s: &str) -> Result<NetModelKind, String> {
-    let (head, param) = match s.split_once(':') {
-        Some((h, p)) => (h, Some(p)),
-        None => (s, None),
-    };
-    let num = |default: u64| -> Result<u64, String> {
-        match param {
-            None => Ok(default),
-            Some(p) => p
-                .parse()
-                .map_err(|_| format!("--net {head}:{p}: {p:?} is not a number")),
-        }
-    };
-    match head {
-        "omega" => Ok(NetModelKind::CircularOmega),
-        "ideal" => Ok(NetModelKind::Ideal {
-            latency: num(1)? as u32,
-        }),
-        "crossbar" => Ok(NetModelKind::FullCrossbar),
-        "torus" => Ok(NetModelKind::Torus2D),
-        "mesh" => Ok(NetModelKind::Mesh2D),
-        "fattree" | "fat-tree" => Ok(NetModelKind::FatTree {
-            arity: num(4)? as u32,
-        }),
-        other => Err(format!(
-            "unknown network {other:?} (omega|ideal[:LAT]|crossbar|torus|mesh|fattree[:ARITY])"
-        )),
-    }
-}
-
 /// Parse a `--preset` word into a cost-model preset.
 fn parse_preset(s: &str) -> Result<CostPreset, String> {
     CostPreset::parse(s).ok_or(format!("unknown preset {s:?} (paper|modern)"))
@@ -260,7 +228,7 @@ fn machine_cfg(args: &Args, default_pes: usize) -> Result<MachineConfig, String>
         cfg.priority_read_responses = true;
     }
     if let Some(net) = args.get("net") {
-        cfg.net.model = parse_net(net)?;
+        cfg.net.model = net.parse()?;
     }
     if let Some(preset) = args.get("preset") {
         parse_preset(preset)?.apply(&mut cfg);
@@ -993,7 +961,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let threads = parse_list("threads", args.get("threads").unwrap_or("1,2,4,8"))?;
 
     let mut engine = engine_from_args(args)?;
-    let net_model = args.get("net").map(parse_net).transpose()?;
+    let net_model = args.get("net").map(str::parse).transpose()?;
     let preset = args.get("preset").map(parse_preset).transpose()?;
     let mut specs = grid(workload, pes, &sizes, &threads);
     for s in &mut specs {
@@ -1067,7 +1035,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let backoff_cap = args.u64_or("backoff-cap", 4096)? as u32;
     let max_attempts = args.u64_or("max-attempts", 0)? as u32;
     let check = args.has("check-invariants");
-    let net_model = args.get("net").map(parse_net).transpose()?;
+    let net_model = args.get("net").map(str::parse).transpose()?;
     let preset = args.get("preset").map(parse_preset).transpose()?;
 
     // Grid order: size-major, then threads, then loss — every loss column
@@ -1548,7 +1516,8 @@ fn validate_shape(cmd: &str, args: &Args) -> Result<(), String> {
 /// exit code instead of surfacing mid-run as a generic error.
 fn validate_values(cmd: &str, args: &Args) -> Result<(), String> {
     if let Some(net) = args.get("net") {
-        parse_net(net).map_err(|e| format!("bad value for --net: {e}"))?;
+        net.parse::<NetModelKind>()
+            .map_err(|e| format!("bad value for --net: {e}"))?;
     }
     if let Some(preset) = args.get("preset") {
         parse_preset(preset).map_err(|e| format!("bad value for --preset: {e}"))?;

@@ -1,5 +1,5 @@
-//! The self-contained `.emxfuzz` case format (`emx-fuzz/2`, with `/1`
-//! still parsed) and its well-formedness rules.
+//! The self-contained `.emxfuzz` case format (`emx-fuzz/3`) and its
+//! well-formedness rules.
 //!
 //! A case is *explicit*, not a seed: the shrinker needs structure it can
 //! cut, and a committed reproducer must replay identically even after the
@@ -7,8 +7,11 @@
 //! serde derive stand-in emits no code, so every on-disk format in this
 //! workspace is hand-rolled) with `key = value` headers, one `prog` line
 //! per program, one `root` line per initial thread, and optional `expect`
-//! lines recording the oracle's verdict and reference trace digest.
+//! lines recording the oracle's verdict and reference trace digest. The
+//! `net`, `service` and `faults` values are the `Display`/`FromStr` text
+//! forms of their `emx-core` types, the same words a sweep journal writes.
 
+use emx_core::codec::num;
 use emx_core::{FaultSpec, NetModelKind, ServiceMode};
 
 /// One operation of a generated thread. The oracle's op thread executes its
@@ -271,31 +274,19 @@ impl CaseSpec {
         }
     }
 
-    /// Render the case in `emx-fuzz/2` text form.
+    /// Render the case in `emx-fuzz/3` text form.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
-        s.push_str("emx-fuzz/2\n");
+        s.push_str("emx-fuzz/3\n");
         s.push_str(&format!("name = {}\n", self.name));
         s.push_str(&format!("seed = {}\n", self.seed));
         s.push_str(&format!("pes = {}\n", self.pes));
-        let net = match self.net {
-            NetModelKind::CircularOmega => "omega".to_string(),
-            NetModelKind::Ideal { latency } => format!("ideal:{latency}"),
-            NetModelKind::FullCrossbar => "crossbar".to_string(),
-            NetModelKind::Torus2D => "torus".to_string(),
-            NetModelKind::Mesh2D => "mesh".to_string(),
-            NetModelKind::FatTree { arity } => format!("fattree:{arity}"),
-        };
-        s.push_str(&format!("net = {net}\n"));
+        s.push_str(&format!("net = {}\n", self.net));
         s.push_str(&format!("ibu = {}\n", self.ibu_capacity));
         s.push_str(&format!("frames = {}\n", self.frames_per_pe));
         s.push_str(&format!("mem = {}\n", self.memory_words));
         s.push_str(&format!("fuel = {}\n", self.fuel));
-        let service = match self.service_mode {
-            ServiceMode::BypassDma => "bypass",
-            ServiceMode::ExuThread => "exu",
-        };
-        s.push_str(&format!("service = {service}\n"));
+        s.push_str(&format!("service = {}\n", self.service_mode));
         s.push_str(&format!(
             "prio-responses = {}\n",
             self.priority_read_responses
@@ -305,26 +296,7 @@ impl CaseSpec {
             "barrier-participants = {}\n",
             self.barrier_participants
         ));
-        let f = &self.faults;
-        let cap = match f.frame_cap {
-            Some(c) => c.to_string(),
-            None => "none".into(),
-        };
-        s.push_str(&format!(
-            "faults = fseed:{} drop:{} dup:{} delay:{},{} spill:{} dma:{},{} cap:{} retry:{},{},{}\n",
-            f.seed,
-            f.drop_ppm,
-            f.dup_ppm,
-            f.delay_ppm,
-            f.max_delay,
-            f.spill_ppm,
-            f.dma_stall_ppm,
-            f.dma_stall_cycles,
-            cap,
-            f.retry_timeout,
-            f.retry_backoff_cap,
-            f.max_attempts,
-        ));
+        s.push_str(&format!("faults = {}\n", self.faults));
         for (i, p) in self.programs.iter().enumerate() {
             let toks: Vec<String> = p.ops.iter().map(Op::token).collect();
             s.push_str(&format!("prog {i} = {}\n", toks.join(" ")));
@@ -341,16 +313,15 @@ impl CaseSpec {
         s
     }
 
-    /// Parse an `emx-fuzz/2` case file (`emx-fuzz/1` is still accepted —
-    /// version 2 only *adds* vocabulary: the `rmw`/`halo` ops and the
-    /// `mesh`/`fattree` network models).
+    /// Parse an `emx-fuzz/3` case file. Version 3 writes the fault plan in
+    /// `FaultSpec`'s text form; earlier versions are not read.
     pub fn parse(text: &str) -> Result<CaseSpec, String> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
-            Some((_, l)) if l.trim() == "emx-fuzz/1" || l.trim() == "emx-fuzz/2" => {}
+            Some((_, l)) if l.trim() == "emx-fuzz/3" => {}
             other => {
                 return Err(format!(
-                    "expected header 'emx-fuzz/2' (or '/1'), got {:?}",
+                    "expected header 'emx-fuzz/3', got {:?}",
                     other.map(|(_, l)| l).unwrap_or("")
                 ))
             }
@@ -366,65 +337,22 @@ impl CaseSpec {
                 .split_once('=')
                 .map(|(k, v)| (k.trim(), v.trim()))
                 .ok_or_else(|| at(format!("expected 'key = value', got {line:?}")))?;
-            let parse_usize = |v: &str| -> Result<usize, String> {
-                v.parse().map_err(|_| at(format!("bad number {v:?}")))
-            };
             match key {
                 "name" => case.name = value.to_string(),
-                "seed" => {
-                    case.seed = value
-                        .parse()
-                        .map_err(|_| at(format!("bad seed {value:?}")))?
+                "seed" => case.seed = num(key, value).map_err(at)?,
+                "pes" => case.pes = num(key, value).map_err(at)?,
+                "net" => case.net = value.parse().map_err(at)?,
+                "ibu" => case.ibu_capacity = num(key, value).map_err(at)?,
+                "frames" => case.frames_per_pe = num(key, value).map_err(at)?,
+                "mem" => case.memory_words = num(key, value).map_err(at)?,
+                "fuel" => case.fuel = num(key, value).map_err(at)?,
+                "service" => case.service_mode = value.parse().map_err(at)?,
+                "prio-responses" => case.priority_read_responses = num(key, value).map_err(at)?,
+                "seq-cells" => case.seq_cells = num(key, value).map_err(at)?,
+                "barrier-participants" => {
+                    case.barrier_participants = num(key, value).map_err(at)?;
                 }
-                "pes" => case.pes = parse_usize(value)?,
-                "net" => {
-                    case.net = match value {
-                        "omega" => NetModelKind::CircularOmega,
-                        "crossbar" => NetModelKind::FullCrossbar,
-                        "torus" => NetModelKind::Torus2D,
-                        "mesh" => NetModelKind::Mesh2D,
-                        other => {
-                            if let Some(lat) = other.strip_prefix("ideal:") {
-                                NetModelKind::Ideal {
-                                    latency: lat
-                                        .parse()
-                                        .map_err(|_| at(format!("bad ideal latency {lat:?}")))?,
-                                }
-                            } else if let Some(k) = other.strip_prefix("fattree:") {
-                                NetModelKind::FatTree {
-                                    arity: k
-                                        .parse()
-                                        .map_err(|_| at(format!("bad fat-tree arity {k:?}")))?,
-                                }
-                            } else {
-                                return Err(at(format!("unknown net model {other:?}")));
-                            }
-                        }
-                    }
-                }
-                "ibu" => case.ibu_capacity = parse_usize(value)?,
-                "frames" => case.frames_per_pe = parse_usize(value)?,
-                "mem" => case.memory_words = parse_usize(value)?,
-                "fuel" => {
-                    case.fuel = value
-                        .parse()
-                        .map_err(|_| at(format!("bad fuel {value:?}")))?
-                }
-                "service" => {
-                    case.service_mode = match value {
-                        "bypass" => ServiceMode::BypassDma,
-                        "exu" => ServiceMode::ExuThread,
-                        other => return Err(at(format!("unknown service mode {other:?}"))),
-                    }
-                }
-                "prio-responses" => {
-                    case.priority_read_responses = value
-                        .parse()
-                        .map_err(|_| at(format!("bad bool {value:?}")))?
-                }
-                "seq-cells" => case.seq_cells = parse_usize(value)?,
-                "barrier-participants" => case.barrier_participants = parse_usize(value)?,
-                "faults" => case.faults = parse_faults(value).map_err(at)?,
+                "faults" => case.faults = value.parse().map_err(at)?,
                 "expect" => {
                     let mut e = case.expect.take().unwrap_or_default();
                     e.verdict = value.to_string();
@@ -436,21 +364,15 @@ impl CaseSpec {
                     case.expect = Some(e);
                 }
                 "root" => {
-                    let nums: Vec<u64> = value
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .map_err(|_| at(format!("bad root {value:?}")))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if nums.len() != 3 {
+                    let Ok([pe, prog, arg]) =
+                        <[&str; 3]>::try_from(value.split(',').map(str::trim).collect::<Vec<_>>())
+                    else {
                         return Err(at(format!("root wants pe,prog,arg; got {value:?}")));
-                    }
+                    };
                     case.roots.push(Root {
-                        pe: nums[0] as u16,
-                        prog: nums[1] as u16,
-                        arg: nums[2] as u32,
+                        pe: num("root pe", pe).map_err(at)?,
+                        prog: num("root program", prog).map_err(at)?,
+                        arg: num("root argument", arg).map_err(at)?,
                     });
                 }
                 k if k.starts_with("prog ") => {
@@ -708,58 +630,6 @@ impl CaseSpec {
     }
 }
 
-/// Parse the `faults =` value:
-/// `fseed:<s> drop:<p> dup:<p> delay:<p>,<max> spill:<p> dma:<p>,<cy> cap:<none|n> retry:<t>,<b>,<a>`.
-fn parse_faults(value: &str) -> Result<FaultSpec, String> {
-    let mut f = FaultSpec::new(0);
-    for part in value.split_whitespace() {
-        let (key, v) = part
-            .split_once(':')
-            .ok_or_else(|| format!("malformed fault field {part:?}"))?;
-        let nums = |v: &str, want: usize| -> Result<Vec<u64>, String> {
-            let ns: Vec<u64> = v
-                .split(',')
-                .map(|s| s.parse().map_err(|_| format!("bad fault number {v:?}")))
-                .collect::<Result<_, _>>()?;
-            if ns.len() != want {
-                return Err(format!("fault field {key} wants {want} numbers, got {v:?}"));
-            }
-            Ok(ns)
-        };
-        match key {
-            "fseed" => f.seed = nums(v, 1)?[0],
-            "drop" => f.drop_ppm = nums(v, 1)?[0] as u32,
-            "dup" => f.dup_ppm = nums(v, 1)?[0] as u32,
-            "delay" => {
-                let n = nums(v, 2)?;
-                f.delay_ppm = n[0] as u32;
-                f.max_delay = n[1] as u32;
-            }
-            "spill" => f.spill_ppm = nums(v, 1)?[0] as u32,
-            "dma" => {
-                let n = nums(v, 2)?;
-                f.dma_stall_ppm = n[0] as u32;
-                f.dma_stall_cycles = n[1] as u32;
-            }
-            "cap" => {
-                f.frame_cap = if v == "none" {
-                    None
-                } else {
-                    Some(nums(v, 1)?[0] as u32)
-                }
-            }
-            "retry" => {
-                let n = nums(v, 3)?;
-                f.retry_timeout = n[0] as u32;
-                f.retry_backoff_cap = n[1] as u32;
-                f.max_attempts = n[2] as u32;
-            }
-            other => return Err(format!("unknown fault field {other:?}")),
-        }
-    }
-    Ok(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,7 +670,12 @@ mod tests {
 
     #[test]
     fn text_roundtrip_is_identity() {
-        let c = sample();
+        let mut c = sample();
+        // Every fault field survives, the frame-cap list and the checker
+        // switch included.
+        c.faults.frame_cap = Some(9);
+        c.faults.frame_cap_pes = vec![1, 3];
+        c.faults.check_invariants = true;
         let text = c.to_text();
         let back = CaseSpec::parse(&text).unwrap();
         assert_eq!(c, back);
@@ -869,12 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_header_still_parses() {
-        let text = sample().to_text().replacen("emx-fuzz/2", "emx-fuzz/1", 1);
-        assert_eq!(CaseSpec::parse(&text).unwrap(), sample());
-    }
-
-    #[test]
     fn buildable_rejects_out_of_range_v2_ops() {
         let mut c = sample();
         c.programs[1].ops.push(Op::RmwAdd { pe: 99, offset: 0 });
@@ -891,8 +760,13 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(CaseSpec::parse("nonsense").is_err());
-        assert!(CaseSpec::parse("emx-fuzz/1\nbogus-key = 3\n").is_err());
-        assert!(CaseSpec::parse("emx-fuzz/1\nprog 1 = work:1\n").is_err());
+        assert!(CaseSpec::parse("emx-fuzz/3\nbogus-key = 3\n").is_err());
+        assert!(CaseSpec::parse("emx-fuzz/3\nprog 1 = work:1\n").is_err());
+        // Superseded headers are not read: the fault-plan line changed.
+        assert!(CaseSpec::parse("emx-fuzz/2\nname = old\n").is_err());
+        assert!(CaseSpec::parse("emx-fuzz/3\nnet = ideal:4294967297\n").is_err());
+        assert!(CaseSpec::parse("emx-fuzz/3\nroot = 65536,0,0\n").is_err());
+        assert!(CaseSpec::parse("emx-fuzz/3\nfaults = seed:1\n").is_err());
         assert!(Op::parse_token("read:1").is_err());
         assert!(Op::parse_token("frobnicate:2").is_err());
     }

@@ -18,7 +18,7 @@
 //! [`case::CaseSpec::validate`]), so a deadlock, livelock, or digest
 //! mismatch is always a real finding. Failing cases are minimized by a
 //! deterministic [shrinker](shrink::shrink) and serialized as
-//! self-contained `.emxfuzz` files (format `emx-fuzz/1`) that replay in a
+//! self-contained `.emxfuzz` files (format `emx-fuzz/3`) that replay in a
 //! committed regression corpus.
 //!
 //! Everything is seeded: the same `(cases, seed)` campaign produces a

@@ -1,8 +1,8 @@
 //! Write-ahead journal for crash-recoverable sweeps (`emx-journal/1`).
 //!
 //! A sweep armed with a journal records its full identity up front — the
-//! mode and label of the invocation plus every [`RunSpec`] in a
-//! self-contained one-line codec — then appends one record group per
+//! mode and label of the invocation plus every [`RunSpec`] in its one-line
+//! text form (`Display`/`FromStr`) — then appends one record group per
 //! point as workers finish:
 //!
 //! ```text
@@ -39,14 +39,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use emx_core::{CostPreset, FaultSpec, NetModelKind, ServiceMode};
 use emx_stats::digest::report_canonical_text;
 use emx_stats::RunReport;
 use parking_lot::Mutex;
 
 use crate::cache::parse_report_text;
 use crate::engine::{Slot, SweepEngine, SweepOutcome};
-use crate::spec::{RunSpec, Workload};
+use crate::spec::RunSpec;
 
 /// Format tag on the journal's first line; bumped with any layout change.
 pub const JOURNAL_FORMAT: &str = "emx-journal/1";
@@ -84,211 +83,6 @@ fn unesc(s: &str) -> Option<String> {
     Some(out)
 }
 
-/// One-word rendering of a network model, invertible by [`net_parse`].
-fn net_word(net: NetModelKind) -> String {
-    match net {
-        NetModelKind::CircularOmega => "omega".into(),
-        NetModelKind::Ideal { latency } => format!("ideal:{latency}"),
-        NetModelKind::FullCrossbar => "crossbar".into(),
-        NetModelKind::Torus2D => "torus".into(),
-        NetModelKind::Mesh2D => "mesh".into(),
-        NetModelKind::FatTree { arity } => format!("fattree:{arity}"),
-    }
-}
-
-fn net_parse(w: &str) -> Option<NetModelKind> {
-    match w {
-        "omega" => return Some(NetModelKind::CircularOmega),
-        "crossbar" => return Some(NetModelKind::FullCrossbar),
-        "torus" => return Some(NetModelKind::Torus2D),
-        "mesh" => return Some(NetModelKind::Mesh2D),
-        _ => {}
-    }
-    let (head, param) = w.split_once(':')?;
-    let param: u32 = param.parse().ok()?;
-    match head {
-        "ideal" => Some(NetModelKind::Ideal { latency: param }),
-        "fattree" => Some(NetModelKind::FatTree { arity: param }),
-        _ => None,
-    }
-}
-
-/// One-word (comma-joined) rendering of a fault plan, invertible by
-/// [`faults_parse`]. Every field appears exactly once.
-fn faults_word(f: &FaultSpec) -> String {
-    let cap = match f.frame_cap {
-        Some(c) => c.to_string(),
-        None => "none".into(),
-    };
-    let pes = if f.frame_cap_pes.is_empty() {
-        "-".to_string()
-    } else {
-        f.frame_cap_pes
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join("+")
-    };
-    format!(
-        "seed:{},drop:{},dup:{},delay:{},max_delay:{},spill:{},dma:{},dma_cycles:{},\
-         cap:{},cap_pes:{},retry:{},backoff:{},attempts:{},check:{}",
-        f.seed,
-        f.drop_ppm,
-        f.dup_ppm,
-        f.delay_ppm,
-        f.max_delay,
-        f.spill_ppm,
-        f.dma_stall_ppm,
-        f.dma_stall_cycles,
-        cap,
-        pes,
-        f.retry_timeout,
-        f.retry_backoff_cap,
-        f.max_attempts,
-        f.check_invariants,
-    )
-}
-
-fn faults_parse(w: &str) -> Option<FaultSpec> {
-    let mut f = FaultSpec::new(0);
-    let mut seen = 0u32;
-    for field in w.split(',') {
-        let (name, value) = field.split_once(':')?;
-        match name {
-            "seed" => f.seed = value.parse().ok()?,
-            "drop" => f.drop_ppm = value.parse().ok()?,
-            "dup" => f.dup_ppm = value.parse().ok()?,
-            "delay" => f.delay_ppm = value.parse().ok()?,
-            "max_delay" => f.max_delay = value.parse().ok()?,
-            "spill" => f.spill_ppm = value.parse().ok()?,
-            "dma" => f.dma_stall_ppm = value.parse().ok()?,
-            "dma_cycles" => f.dma_stall_cycles = value.parse().ok()?,
-            "cap" => {
-                f.frame_cap = match value {
-                    "none" => None,
-                    n => Some(n.parse().ok()?),
-                }
-            }
-            "cap_pes" => {
-                f.frame_cap_pes = match value {
-                    "-" => Vec::new(),
-                    list => list
-                        .split('+')
-                        .map(|p| p.parse().ok())
-                        .collect::<Option<Vec<u16>>>()?,
-                }
-            }
-            "retry" => f.retry_timeout = value.parse().ok()?,
-            "backoff" => f.retry_backoff_cap = value.parse().ok()?,
-            "attempts" => f.max_attempts = value.parse().ok()?,
-            "check" => f.check_invariants = value.parse().ok()?,
-            _ => return None,
-        }
-        seen += 1;
-    }
-    (seen == 14).then_some(f)
-}
-
-/// Render a [`RunSpec`] as one self-contained journal line: `key=value`
-/// tokens, every field exactly once, invertible by [`spec_from_line`].
-pub fn spec_to_line(s: &RunSpec) -> String {
-    let opt = |v: Option<u64>| match v {
-        Some(v) => v.to_string(),
-        None => "none".into(),
-    };
-    format!(
-        "workload={} pes={} per_pe={} threads={} seed={} comm_only={} block_read={} \
-         point_cycles={} service={} prio_responses={} net={} preset={} faults={}",
-        s.workload.name(),
-        s.pes,
-        s.per_pe,
-        s.threads,
-        opt(s.seed),
-        s.comm_only,
-        s.block_read,
-        opt(s.point_cycles.map(u64::from)),
-        match s.service_mode {
-            ServiceMode::BypassDma => "bypass",
-            ServiceMode::ExuThread => "exu",
-        },
-        s.priority_read_responses,
-        net_word(s.net_model),
-        s.preset.name(),
-        match &s.faults {
-            Some(f) => faults_word(f),
-            None => "none".into(),
-        },
-    )
-}
-
-/// Invert [`spec_to_line`]. Strict: every field must appear exactly once
-/// and nothing else may — a journal is a versioned format, not a config
-/// file.
-pub fn spec_from_line(line: &str) -> Result<RunSpec, String> {
-    let bad = |msg: String| Err(format!("bad spec line: {msg}"));
-    let mut spec = RunSpec::new(Workload::Sort, 0, 0, 0);
-    let mut seen = 0u32;
-    for token in line.split_whitespace() {
-        let Some((name, value)) = token.split_once('=') else {
-            return bad(format!("token {token:?} is not key=value"));
-        };
-        let field = |what: &str| format!("{what} {value:?}");
-        match name {
-            "workload" => {
-                spec.workload = Workload::parse(value).ok_or_else(|| field("unknown workload"))?;
-            }
-            "pes" => spec.pes = value.parse().map_err(|_| field("bad pes"))?,
-            "per_pe" => spec.per_pe = value.parse().map_err(|_| field("bad per_pe"))?,
-            "threads" => spec.threads = value.parse().map_err(|_| field("bad threads"))?,
-            "seed" => {
-                spec.seed = match value {
-                    "none" => None,
-                    v => Some(v.parse().map_err(|_| field("bad seed"))?),
-                }
-            }
-            "comm_only" => spec.comm_only = value.parse().map_err(|_| field("bad comm_only"))?,
-            "block_read" => {
-                spec.block_read = value.parse().map_err(|_| field("bad block_read"))?;
-            }
-            "point_cycles" => {
-                spec.point_cycles = match value {
-                    "none" => None,
-                    v => Some(v.parse().map_err(|_| field("bad point_cycles"))?),
-                }
-            }
-            "service" => {
-                spec.service_mode = match value {
-                    "bypass" => ServiceMode::BypassDma,
-                    "exu" => ServiceMode::ExuThread,
-                    _ => return bad(field("unknown service mode")),
-                }
-            }
-            "prio_responses" => {
-                spec.priority_read_responses =
-                    value.parse().map_err(|_| field("bad prio_responses"))?;
-            }
-            "net" => {
-                spec.net_model = net_parse(value).ok_or_else(|| field("unknown net model"))?;
-            }
-            "preset" => {
-                spec.preset = CostPreset::parse(value).ok_or_else(|| field("unknown preset"))?;
-            }
-            "faults" => {
-                spec.faults = match value {
-                    "none" => None,
-                    w => Some(faults_parse(w).ok_or_else(|| field("bad fault plan"))?),
-                }
-            }
-            other => return bad(format!("unknown field {other:?}")),
-        }
-        seen += 1;
-    }
-    if seen != 13 {
-        return bad(format!("{seen} fields, want 13"));
-    }
-    Ok(spec)
-}
-
 /// The append half of a journal: created by the invocation that arms it,
 /// re-opened in append mode by [`resume`]. Every record is flushed before
 /// the method returns, preserving the intent → result → commit ordering
@@ -319,7 +113,7 @@ impl Journal {
         header.push_str(&format!("mode {}\n", esc(mode)));
         header.push_str(&format!("label {}\n", esc(label)));
         for (i, spec) in specs.iter().enumerate() {
-            header.push_str(&format!("spec {i} |{}\n", spec_to_line(spec)));
+            header.push_str(&format!("spec {i} |{spec}\n"));
         }
         header.push_str(&format!("end-header {}\n", specs.len()));
         let mut file = OpenOptions::new()
@@ -480,7 +274,10 @@ pub fn load(path: &Path) -> Result<JournalState, String> {
                     path.display()
                 ));
             }
-            specs.push(spec_from_line(body).map_err(|e| format!("{}: {e}", path.display()))?);
+            specs.push(
+                body.parse()
+                    .map_err(|e| format!("{}: {e}", path.display()))?,
+            );
         } else if let Some(rest) = line.strip_prefix("end-header ") {
             if rest.parse::<usize>() != Ok(specs.len()) {
                 return Err(format!("{}: header spec count mismatch", path.display()));
@@ -659,54 +456,65 @@ pub fn resume(path: &Path, engine: SweepEngine) -> Result<ResumedSweep, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::grid;
+    use crate::spec::{grid, Workload};
+    use emx_core::{CostPreset, FaultSpec, NetModelKind};
 
-    fn full_spec() -> RunSpec {
-        let mut s = RunSpec::new(Workload::Stencil, 8, 128, 3);
-        s.seed = Some(99);
-        s.comm_only = false;
-        s.block_read = true;
-        s.point_cycles = Some(17);
-        s.service_mode = ServiceMode::ExuThread;
-        s.priority_read_responses = true;
-        s.net_model = NetModelKind::FatTree { arity: 3 };
-        s.preset = CostPreset::Modern;
-        let mut f = FaultSpec::with_loss(41, 10_000);
-        f.dup_ppm = 5;
-        f.delay_ppm = 7;
-        f.max_delay = 9;
-        f.spill_ppm = 11;
-        f.dma_stall_ppm = 13;
-        f.dma_stall_cycles = 15;
-        f.frame_cap = Some(6);
-        f.frame_cap_pes = vec![1, 5];
-        f.max_attempts = 3;
-        f.check_invariants = true;
-        s.faults = Some(f);
-        s
+    /// A journal written, byte for byte, by `emx-cli faults --workload sort
+    /// --pes 4 --sizes 64 --threads 2 --loss 20000 --dup 5000 --delay 7000
+    /// --max-delay 9 --seed 3 --net fattree:2 --preset modern
+    /// --check-invariants --journal` before the spec line moved to
+    /// `RunSpec`'s `Display`/`FromStr`.
+    const GOLDEN_JOURNAL: &str = r"emx-journal/1
+mode faults
+label faults_bitonic-sort_p4
+spec 0 |workload=bitonic-sort pes=4 per_pe=64 threads=2 seed=none comm_only=true block_read=false point_cycles=none service=bypass prio_responses=false net=fattree:2 preset=modern faults=seed:3400403447305520590,drop:20000,dup:5000,delay:7000,max_delay:9,spill:0,dma:0,dma_cycles:0,cap:none,cap_pes:-,retry:128,backoff:4096,attempts:0,check:true
+end-header 1
+intent 0 0fa53089b7199fa798b0a4f463cb3c29
+result 0 0fa53089b7199fa798b0a4f463cb3c29 0 |emx-report v2\nelapsed=15348 clock_hz=20000000 net_packets=1425 net_contention=4237\nfaults dropped=29 duplicated=11 delayed=10 forced_spills=0 dma_stalls=0 retries=52 stale_responses=34\npe 5314 1668 7678 656 139 137 0 165 139 303 2 0 0 0 0 0 2\npe 5414 2280 6774 816 190 39 1 206 190 245 2 0 0 0 0 0 2\npe 5302 1668 7759 616 139 121 2 155 139 276 2 0 0 0 0 0 2\npe 5414 2256 6870 808 188 25 1 214 188 232 5 0 0 0 0 0 5\n
+commit 0
+done 1
+";
+
+    fn golden_spec_line() -> &'static str {
+        GOLDEN_JOURNAL
+            .lines()
+            .nth(3)
+            .unwrap()
+            .split_once(" |")
+            .unwrap()
+            .1
     }
 
     #[test]
-    fn spec_line_round_trips_every_field() {
-        let spec = full_spec();
-        assert_eq!(spec_from_line(&spec_to_line(&spec)).unwrap(), spec);
-        // The defaults round-trip too, for every workload and net model.
-        for w in Workload::all() {
-            let spec = RunSpec::new(w, 4, 64, 2);
-            assert_eq!(spec_from_line(&spec_to_line(&spec)).unwrap(), spec);
-        }
-        for net in [
-            NetModelKind::CircularOmega,
-            NetModelKind::Ideal { latency: 5 },
-            NetModelKind::FullCrossbar,
-            NetModelKind::Torus2D,
-            NetModelKind::Mesh2D,
-            NetModelKind::FatTree { arity: 4 },
-        ] {
-            let mut spec = RunSpec::new(Workload::Fft, 4, 64, 2);
-            spec.net_model = net;
-            assert_eq!(spec_from_line(&spec_to_line(&spec)).unwrap(), spec);
-        }
+    fn a_journal_written_before_the_codec_change_loads_and_resumes() {
+        let path = scratch("golden");
+        fs::write(&path, GOLDEN_JOURNAL).unwrap();
+        let state = load(&path).unwrap();
+        assert!(state.done);
+        let spec = &state.specs[0];
+        assert_eq!(
+            spec.to_string(),
+            golden_spec_line(),
+            "journal bytes unchanged"
+        );
+        assert_eq!(spec.net_model, NetModelKind::FatTree { arity: 2 });
+        assert_eq!(spec.preset, CostPreset::Modern);
+        let faults = spec.faults.as_ref().unwrap();
+        assert_eq!((faults.drop_ppm, faults.max_delay), (20_000, 9));
+        assert!(faults.check_invariants);
+        let Some(Completed::Ok { report, .. }) = state.completed.get(&0) else {
+            panic!("the golden point is committed");
+        };
+
+        // Torn right after the header: resume re-executes the point and
+        // reproduces the recorded report.
+        let header_end = GOLDEN_JOURNAL.find("intent ").unwrap();
+        fs::write(&path, &GOLDEN_JOURNAL[..header_end]).unwrap();
+        let resumed = resume(&path, quiet_engine()).unwrap();
+        assert_eq!(resumed.mode, "faults");
+        assert_eq!(resumed.outcome.simulated, 1);
+        assert_eq!(&resumed.outcome.points[0].report, report);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -717,8 +525,8 @@ mod tests {
         let line = "workload=bitonic-sort pes=4 per_pe=64 threads=1 seed=none comm_only=true \
                     block_read=false point_cycles=none service=bypass prio_responses=false \
                     net=omega preset=paper shards=1 faults=none";
-        assert!(spec_from_line(&line.replace(" shards=1", "")).is_ok());
-        let err = spec_from_line(line).unwrap_err();
+        assert!(line.replace(" shards=1", "").parse::<RunSpec>().is_ok());
+        let err = line.parse::<RunSpec>().unwrap_err();
         assert_eq!(err, "bad spec line: unknown field \"shards\"");
         let path = scratch("shards-field");
         fs::write(
@@ -732,14 +540,16 @@ mod tests {
 
     #[test]
     fn spec_line_parser_rejects_malformed_input() {
-        let line = spec_to_line(&full_spec());
-        assert!(spec_from_line(&line.replace("workload=stencil", "workload=mandelbrot")).is_err());
-        assert!(spec_from_line(&format!("{line} extra=1")).is_err());
+        let line = golden_spec_line();
+        let parse = |l: &str| l.parse::<RunSpec>();
+        assert!(parse(line).is_ok());
+        assert!(parse(&line.replace("workload=bitonic-sort", "workload=mandelbrot")).is_err());
+        assert!(parse(&format!("{line} extra=1")).is_err());
         assert!(
-            spec_from_line(line.rsplit_once(' ').unwrap().0).is_err(),
+            parse(line.rsplit_once(' ').unwrap().0).is_err(),
             "a missing field is rejected"
         );
-        assert!(spec_from_line("").is_err());
+        assert!(parse("").is_err());
     }
 
     #[test]

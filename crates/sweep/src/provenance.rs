@@ -24,8 +24,10 @@ use crate::engine::SweepOutcome;
 /// Schema identifier stamped into every sidecar. `/2` added the per-run
 /// fault plan, the `runs_failed` count, the `failed_runs` array, and the
 /// per-run cost-model `preset`; later (additively, no bump) the
-/// `runs_resumed` count and the `watchdog` observation object.
-pub const SCHEMA: &str = "emx-sweep/2";
+/// `runs_resumed` count and the `watchdog` observation object. `/3`
+/// records each run's spec as its one-line text form (`"spec"`) in place
+/// of separately rendered knob fields.
+pub const SCHEMA: &str = "emx-sweep/3";
 
 /// Escape a string for inclusion in a JSON string literal.
 fn esc(s: &str) -> String {
@@ -99,32 +101,9 @@ pub fn render(
     for (i, pt) in outcome.points.iter().enumerate() {
         let s = &pt.spec;
         j.push_str("    {");
-        j.push_str(&format!("\"workload\": \"{}\", ", esc(s.workload.name())));
-        j.push_str(&format!("\"pes\": {}, ", s.pes));
-        j.push_str(&format!("\"per_pe\": {}, ", s.per_pe));
+        j.push_str(&format!("\"spec\": \"{}\", ", esc(&s.to_string())));
         j.push_str(&format!("\"n\": {}, ", s.n()));
-        j.push_str(&format!("\"threads\": {}, ", s.threads));
         j.push_str(&format!("\"seed\": {}, ", s.effective_seed()));
-        j.push_str(&format!("\"comm_only\": {}, ", s.comm_only));
-        j.push_str(&format!("\"block_read\": {}, ", s.block_read));
-        match s.point_cycles {
-            Some(c) => j.push_str(&format!("\"point_cycles\": {c}, ")),
-            None => j.push_str("\"point_cycles\": null, "),
-        }
-        j.push_str(&format!("\"service_mode\": \"{:?}\", ", s.service_mode));
-        j.push_str(&format!(
-            "\"priority_read_responses\": {}, ",
-            s.priority_read_responses
-        ));
-        j.push_str(&format!(
-            "\"net_model\": \"{}\", ",
-            esc(&format!("{:?}", s.net_model))
-        ));
-        j.push_str(&format!("\"preset\": \"{}\", ", esc(s.preset.name())));
-        match &s.faults {
-            Some(f) => j.push_str(&format!("\"faults\": \"{}\", ", esc(&f.canonical()))),
-            None => j.push_str("\"faults\": null, "),
-        }
         j.push_str(&format!("\"key\": \"{}\", ", esc(pt.key.hex())));
         j.push_str(&format!("\"cached\": {}, ", pt.cached));
         j.push_str(&format!(
@@ -145,17 +124,9 @@ pub fn render(
     j.push_str("  ],\n");
     j.push_str("  \"failed_runs\": [\n");
     for (i, f) in outcome.failed.iter().enumerate() {
-        let s = &f.spec;
         j.push_str("    {");
         j.push_str(&format!("\"index\": {}, ", f.index));
-        j.push_str(&format!("\"workload\": \"{}\", ", esc(s.workload.name())));
-        j.push_str(&format!("\"pes\": {}, ", s.pes));
-        j.push_str(&format!("\"per_pe\": {}, ", s.per_pe));
-        j.push_str(&format!("\"threads\": {}, ", s.threads));
-        match &s.faults {
-            Some(fp) => j.push_str(&format!("\"faults\": \"{}\", ", esc(&fp.canonical()))),
-            None => j.push_str("\"faults\": null, "),
-        }
+        j.push_str(&format!("\"spec\": \"{}\", ", esc(&f.spec.to_string())));
         j.push_str(&format!("\"key\": \"{}\", ", esc(f.key.hex())));
         j.push_str(&format!("\"attempts\": {}, ", f.attempts));
         j.push_str(&format!("\"error\": \"{}\"", esc(&f.error)));
@@ -208,21 +179,19 @@ mod tests {
             &[("scale", "quick".into())],
         );
         for needle in [
-            "\"schema\": \"emx-sweep/2\"",
+            "\"schema\": \"emx-sweep/3\"",
             "\"figure\": \"test_fig\"",
             "\"csv\": \"test_fig.csv\"",
             "\"runs_total\": 2",
             "\"runs_failed\": 0",
             "\"runs_resumed\": 0",
             "\"watchdog\": null",
-            "\"workload\": \"bitonic-sort\"",
-            "\"service_mode\": \"BypassDma\"",
-            "\"net_model\": \"CircularOmega\"",
-            "\"preset\": \"paper\"",
+            "\"spec\": \"workload=bitonic-sort pes=4 per_pe=64 threads=2 seed=none \
+             comm_only=true block_read=false point_cycles=none service=bypass \
+             prio_responses=false net=omega preset=paper faults=none\"",
+            "\"n\": 256",
             "\"report_digest\": \"",
             "\"scale\": \"quick\"",
-            "\"point_cycles\": null",
-            "\"faults\": null",
             "\"failed_runs\": [",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");

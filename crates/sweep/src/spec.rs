@@ -6,6 +6,10 @@
 //! function, and (b) hashing a spec (plus the machine configuration it
 //! expands to) is a sound cache address.
 
+use std::fmt;
+use std::str::FromStr;
+
+use emx_core::codec::{self, none_or, num, opt};
 use emx_core::{CostPreset, FaultSpec, MachineConfig, NetModelKind, ServiceMode, SimError};
 use emx_stats::RunReport;
 use emx_workloads::{
@@ -248,38 +252,79 @@ impl RunSpec {
     }
 
     /// Canonical, versioned text rendering — the spec half of the cache
-    /// key. Every field appears exactly once; bump the version tag when a
-    /// field is added so old cache entries can never alias new specs.
+    /// key: a version tag plus the spec's one-line text form. Bump the tag
+    /// when the line changes so old cache entries can never alias new specs.
     pub fn canonical(&self) -> String {
-        format!(
-            "emx-spec v3\n\
-             workload={} pes={} per_pe={} threads={}\n\
-             seed={} comm_only={} block_read={} point_cycles={}\n\
-             service_mode={:?} priority_read_responses={} net_model={:?} preset={}\n\
-             {}\n",
+        format!("emx-spec v4\n{self}\n")
+    }
+}
+
+/// The text form is one line of `name=value` tokens, every field exactly
+/// once — `workload=fft pes=16 per_pe=512 threads=1 seed=none
+/// comm_only=true block_read=false point_cycles=none service=bypass
+/// prio_responses=false net=omega preset=paper faults=none` — with the
+/// knobs in the codecs of their own types. It is the journal's spec line,
+/// the cache key's spec half and the sidecar's `spec` field.
+impl fmt::Display for RunSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "workload={} pes={} per_pe={} threads={} seed={} comm_only={} block_read={} \
+             point_cycles={} service={} prio_responses={} net={} preset={} faults={}",
             self.workload.name(),
             self.pes,
             self.per_pe,
             self.threads,
-            match self.seed {
-                Some(s) => s.to_string(),
-                None => "default".into(),
-            },
+            none_or(self.seed),
             self.comm_only,
             self.block_read,
-            match self.point_cycles {
-                Some(c) => c.to_string(),
-                None => "default".into(),
-            },
+            none_or(self.point_cycles),
             self.service_mode,
             self.priority_read_responses,
             self.net_model,
             self.preset.name(),
-            match &self.faults {
-                Some(f) => f.canonical(),
-                None => "faults: none".into(),
-            },
+            none_or(self.faults.as_ref()),
         )
+    }
+}
+
+/// Strict inverse of `Display`: every field exactly once and nothing else
+/// — a journal is a versioned format, not a config file.
+impl FromStr for RunSpec {
+    type Err = String;
+
+    fn from_str(line: &str) -> Result<RunSpec, String> {
+        let parse = || -> Result<RunSpec, String> {
+            let [workload, pes, per_pe, threads, seed, comm_only, block_read, point_cycles, service, prio, net, preset, faults] =
+                codec::fields(
+                    line.split_whitespace(),
+                    '=',
+                    "workload pes per_pe threads seed comm_only block_read point_cycles service \
+                     prio_responses net preset faults",
+                )?;
+            let field = |name: &'static str| move |e: String| format!("{name}: {e}");
+            Ok(RunSpec {
+                workload: Workload::parse(workload)
+                    .ok_or_else(|| format!("unknown workload {workload:?}"))?,
+                pes: num("pes", pes)?,
+                per_pe: num("per_pe", per_pe)?,
+                threads: num("threads", threads)?,
+                seed: opt("seed", seed)?,
+                comm_only: num("comm_only", comm_only)?,
+                block_read: num("block_read", block_read)?,
+                point_cycles: opt("point_cycles", point_cycles)?,
+                service_mode: service.parse().map_err(field("service"))?,
+                priority_read_responses: num("prio_responses", prio)?,
+                net_model: net.parse().map_err(field("net"))?,
+                preset: CostPreset::parse(preset)
+                    .ok_or_else(|| format!("unknown preset {preset:?}"))?,
+                faults: match faults {
+                    "none" => None,
+                    plan => Some(plan.parse().map_err(field("faults"))?),
+                },
+            })
+        };
+        parse().map_err(|e| format!("bad spec line: {e}"))
     }
 }
 
@@ -290,13 +335,13 @@ impl RunSpec {
 pub fn config_canonical(cfg: &MachineConfig) -> String {
     let c = &cfg.costs;
     format!(
-        "emx-config v2\n\
+        "emx-config v3\n\
          num_pes={} clock_hz={} local_memory_words={} ibu_fifo={} obu_fifo={} frames={}\n\
-         service_mode={:?} priority_read_responses={}\n\
+         service_mode={} priority_read_responses={}\n\
          costs: context_switch={} send_packet={} dma_service={} ibu_spill={} obu_forward={} \
          fdiv={} mem_exchange={} barrier_poll_interval={}\n\
-         net: model={:?} port_service={} hop_cycles={}\n\
-         {}\n",
+         net: model={} port_service={} hop_cycles={}\n\
+         faults={}\n",
         cfg.num_pes,
         cfg.clock_hz,
         cfg.local_memory_words,
@@ -316,10 +361,7 @@ pub fn config_canonical(cfg: &MachineConfig) -> String {
         cfg.net.model,
         cfg.net.port_service,
         cfg.net.hop_cycles,
-        match &cfg.faults {
-            Some(f) => f.canonical(),
-            None => "faults: none".into(),
-        },
+        none_or(cfg.faults.as_ref()),
     )
 }
 
@@ -347,6 +389,207 @@ pub fn grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn full_spec() -> RunSpec {
+        let mut s = RunSpec::new(Workload::Stencil, 8, 128, 3);
+        s.seed = Some(99);
+        s.comm_only = false;
+        s.block_read = true;
+        s.point_cycles = Some(17);
+        s.service_mode = ServiceMode::ExuThread;
+        s.priority_read_responses = true;
+        s.net_model = NetModelKind::FatTree { arity: 3 };
+        s.preset = CostPreset::Modern;
+        let mut f = FaultSpec::with_loss(41, 10_000);
+        f.dup_ppm = 5;
+        f.delay_ppm = 7;
+        f.max_delay = 9;
+        f.spill_ppm = 11;
+        f.dma_stall_ppm = 13;
+        f.dma_stall_cycles = 15;
+        f.frame_cap = Some(6);
+        f.frame_cap_pes = vec![1, 5];
+        f.max_attempts = 3;
+        f.check_invariants = true;
+        s.faults = Some(f);
+        s
+    }
+
+    fn round_trip(spec: &RunSpec) -> Result<RunSpec, String> {
+        spec.to_string().parse()
+    }
+
+    #[test]
+    fn spec_line_round_trips_every_field() {
+        let spec = full_spec();
+        assert_eq!(round_trip(&spec).unwrap(), spec);
+        // The defaults round-trip too, for every workload and net model.
+        for w in Workload::all() {
+            let spec = RunSpec::new(w, 4, 64, 2);
+            assert_eq!(round_trip(&spec).unwrap(), spec);
+        }
+        for net in [
+            NetModelKind::CircularOmega,
+            NetModelKind::Ideal { latency: 5 },
+            NetModelKind::FullCrossbar,
+            NetModelKind::Torus2D,
+            NetModelKind::Mesh2D,
+            NetModelKind::FatTree { arity: 4 },
+        ] {
+            let mut spec = RunSpec::new(Workload::Fft, 4, 64, 2);
+            spec.net_model = net;
+            assert_eq!(round_trip(&spec).unwrap(), spec);
+        }
+    }
+
+    #[test]
+    fn spec_line_rejects_repeated_missing_and_unknown_fields() {
+        let line = full_spec().to_string();
+        let err = |l: &str| l.parse::<RunSpec>().unwrap_err();
+        // A second `pes` in place of `preset` is a duplicate, not a spec
+        // with the preset silently defaulted.
+        assert_eq!(
+            err(&line.replace("preset=modern", "pes=99")),
+            "bad spec line: duplicate field \"pes\""
+        );
+        assert_eq!(
+            err(&line.replace(" preset=modern", "")),
+            "bad spec line: missing field \"preset\""
+        );
+        assert_eq!(
+            err(&line.replace("preset=modern", "preset=modern shards=2")),
+            "bad spec line: unknown field \"shards\""
+        );
+        // The fault plan is parsed just as strictly, inside the line.
+        assert_eq!(
+            err(&line.replace("dup:5,", "drop:5,")),
+            "bad spec line: faults: duplicate field \"drop\""
+        );
+        assert_eq!(
+            err(&line.replace("drop:10000", "drop:4294967296")),
+            "bad spec line: faults: drop \"4294967296\" is not a u32"
+        );
+        assert_eq!(
+            err(&line.replace("point_cycles=17", "point_cycles=4294967296")),
+            "bad spec line: point_cycles \"4294967296\" is not a u32"
+        );
+        assert_eq!(
+            err(&line.replace("net=fattree:3", "net=fattree:x")),
+            "bad spec line: net: fat-tree arity \"x\" is not a u32"
+        );
+    }
+
+    fn arb_net() -> impl Strategy<Value = NetModelKind> {
+        prop_oneof![
+            Just(NetModelKind::CircularOmega),
+            any::<u32>().prop_map(|latency| NetModelKind::Ideal { latency }),
+            Just(NetModelKind::FullCrossbar),
+            Just(NetModelKind::Torus2D),
+            Just(NetModelKind::Mesh2D),
+            any::<u32>().prop_map(|arity| NetModelKind::FatTree { arity }),
+        ]
+    }
+
+    fn arb_faults() -> impl Strategy<Value = Option<FaultSpec>> {
+        let ppms = (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+        );
+        let rest = (
+            any::<u32>(),
+            any::<u32>(),
+            (any::<bool>(), any::<u32>()),
+            proptest::collection::vec(any::<u16>(), 0..4),
+            (any::<u32>(), any::<u32>(), any::<u32>()),
+            any::<bool>(),
+        );
+        let plan = (any::<u64>(), ppms, rest).prop_map(
+            |(
+                seed,
+                (drop, dup, delay, spill, dma),
+                (max_delay, dma_cycles, cap, pes, retry, check),
+            )| {
+                FaultSpec {
+                    seed,
+                    drop_ppm: drop,
+                    dup_ppm: dup,
+                    delay_ppm: delay,
+                    max_delay,
+                    spill_ppm: spill,
+                    dma_stall_ppm: dma,
+                    dma_stall_cycles: dma_cycles,
+                    frame_cap: cap.0.then_some(cap.1),
+                    frame_cap_pes: pes,
+                    retry_timeout: retry.0,
+                    retry_backoff_cap: retry.1,
+                    max_attempts: retry.2,
+                    check_invariants: check,
+                }
+            },
+        );
+        prop_oneof![Just(None), plan.prop_map(Some)]
+    }
+
+    fn arb_spec() -> impl Strategy<Value = RunSpec> {
+        let shape = (
+            0..Workload::all().len(),
+            any::<usize>(),
+            any::<usize>(),
+            any::<usize>(),
+            (any::<bool>(), any::<u64>()),
+            (any::<bool>(), any::<u32>()),
+        );
+        let knobs = (
+            (any::<bool>(), any::<bool>(), any::<bool>()),
+            any::<bool>(),
+            arb_net(),
+            any::<bool>(),
+            arb_faults(),
+        );
+        (shape, knobs).prop_map(
+            |((w, pes, per_pe, threads, seed, cycles), (flags, exu, net, modern, faults))| {
+                RunSpec {
+                    workload: Workload::all()[w],
+                    pes,
+                    per_pe,
+                    threads,
+                    seed: seed.0.then_some(seed.1),
+                    comm_only: flags.0,
+                    block_read: flags.1,
+                    point_cycles: cycles.0.then_some(cycles.1),
+                    service_mode: if exu {
+                        ServiceMode::ExuThread
+                    } else {
+                        ServiceMode::BypassDma
+                    },
+                    priority_read_responses: flags.2,
+                    net_model: net,
+                    preset: if modern {
+                        CostPreset::Modern
+                    } else {
+                        CostPreset::Paper
+                    },
+                    faults,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `parse(display(x)) == x` over the whole spec lattice: every
+        /// workload, preset, net model and parameter, service mode and
+        /// fault plan field.
+        #[test]
+        fn every_spec_round_trips(spec in arb_spec()) {
+            prop_assert_eq!(round_trip(&spec), Ok(spec.clone()));
+        }
+    }
 
     #[test]
     fn grid_is_size_major_thread_minor() {

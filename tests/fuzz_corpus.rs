@@ -110,3 +110,18 @@ fn perturbation_hook_is_caught_by_the_oracle() {
     );
     assert_ne!(clean.digest, perturbed.digest);
 }
+
+#[test]
+fn the_documented_case_example_replays() {
+    let doc = std::fs::read_to_string(corpus_dir().join("../../docs/FUZZING.md")).unwrap();
+    let start = doc
+        .find("```text\nemx-fuzz/3\n")
+        .expect("docs/FUZZING.md shows an emx-fuzz/3 case")
+        + "```text\n".len();
+    let end = start + doc[start..].find("```").unwrap();
+    let case = CaseSpec::parse(&doc[start..end]).unwrap();
+    let expect = case.expect.clone().expect("the example pins its outcome");
+    let outcome = run_case(&case, false);
+    assert_eq!(outcome.verdict.as_str(), expect.verdict);
+    assert_eq!(Some(outcome.trace_digest), expect.trace_digest);
+}
