@@ -17,9 +17,9 @@
 //! (network-model ablation), `workloads` (every kernel — regular and
 //! irregular — compared across the Omega, 2D-mesh and fat-tree fabrics;
 //! see `docs/WORKLOADS.md`), `scaling` (FFT processor-count scaling out to
-//! the 1024-PE limit — n = 8M at `full` scale), `bench` (criterion-free
-//! wall-clock timing of the simulator itself, written to
-//! `results/BENCH_profile.json`), `all`.
+//! the 1024-PE limit — n = 8M at `full` scale), `bench` (wall-clock
+//! timing of the simulator itself and of a snapshot/restore round trip,
+//! written to `results/BENCH_profile.json`), `all`.
 //!
 //! Every sweep runs through the `emx-sweep` engine: points execute in
 //! parallel (`--jobs N`, default all host cores, or `EMX_JOBS`), results
@@ -297,8 +297,9 @@ fn fig9(opts: &Opts) {
 
 /// In-text claim: remote read latency of 20-40 clocks (1-2 µs).
 ///
-/// A direct probe (interpreted ISA kernel on a hand-built machine), not a
-/// grid sweep — it runs outside the sweep engine and writes no sidecar.
+/// A direct probe ([`remote_read_latency`]: the interpreted ISA read loop
+/// on one machine), not a grid sweep — it runs outside the sweep engine
+/// and writes no sidecar.
 fn latency() {
     println!("\n=== Remote read latency probe (interpreted ISA kernel) ===");
     let mut table = Table::new(["PEs", "readers", "cycles/read", "us/read"]);
@@ -312,29 +313,7 @@ fn latency() {
     ] {
         let mut cfg = MachineConfig::with_pes(pes);
         cfg.local_memory_words = 1 << 12;
-        let mut m = Machine::new(cfg).unwrap();
-        let (counter, limit) = (Reg::r(7), Reg::r(8));
-        let mut b = ProgramBuilder::new("probe");
-        b.addi(limit, Reg::ZERO, 64);
-        b.label("loop");
-        b.rread(Reg::r(5), Reg::ARG);
-        b.addi(counter, counter, 1);
-        b.bne(counter, limit, "loop");
-        b.end();
-        let tmpl = m.register_template(b.build().unwrap());
-        let target = (pes - 1) as u16;
-        for r in 0..readers {
-            let addr = GlobalAddr::new(PeId(target), 64).unwrap().pack();
-            m.spawn_at_start(PeId(r as u16), tmpl, addr).unwrap();
-        }
-        let report = m.run().unwrap();
-        // Round trip = idle waiting plus suspend/resume switching, the
-        // quantity the paper's 20-40 clock band describes.
-        let wait: f64 = report.per_pe[..readers]
-            .iter()
-            .map(|p| (p.breakdown.comm + p.breakdown.switch).get() as f64)
-            .sum();
-        let per_read = wait / report.total_reads() as f64;
+        let per_read = remote_read_latency(&cfg, readers, 64).unwrap();
         table.row([
             pes.to_string(),
             readers.to_string(),
@@ -800,9 +779,10 @@ fn hp_fields(hp: &emx::hostprof::HostProfReport) -> String {
     )
 }
 
-/// Criterion-free timing harness: wall-clock the simulator itself on a
-/// small bench matrix and write `results/BENCH_profile.json`. The matrix is
-/// sort and FFT at P=16 with h = 1 and 4, plus both at P=64 with h = 4.
+/// The timing harness: wall-clock the simulator itself on a small bench
+/// matrix and write `results/BENCH_profile.json`. The matrix is sort and
+/// FFT at P=16 with h = 1 and 4, both at P=64 with h = 4, and the
+/// `fft-snapshot` checkpoint round trip ([`snapshot_roundtrip`]).
 /// Every point is executed `REPS` times directly (never through the cache
 /// — the wall time must be real); the fastest repetition is reported, and
 /// both the report digest and the hostprof counter digest must be
@@ -883,6 +863,23 @@ fn bench(opts: &Opts) {
             spec.n(),
         ));
     }
+    emx::hostprof::set_enabled(false);
+    let (cycles, best_ns, digest) = snapshot_roundtrip(REPS);
+    let (p, h, n) = SNAP_POINT;
+    table.row([
+        "fft-snapshot".to_string(),
+        p.to_string(),
+        h.to_string(),
+        fmt_n(n / p),
+        cycles.to_string(),
+        format!("{:.3}", best_ns as f64 / 1e6),
+        digest.clone(),
+    ]);
+    entries.push(format!(
+        "    {{\"workload\": \"fft-snapshot\", \"p\": {p}, \"h\": {h}, \"r\": {}, \"n\": {n}, \
+         \"cycles\": {cycles}, \"wall_ns\": {best_ns}, \"digest\": \"{digest}\"}}",
+        n / p,
+    ));
     println!("{}", table.render());
 
     let json = format!(
@@ -899,7 +896,50 @@ fn bench(opts: &Opts) {
             println!("  [json] {}", path.display());
         }
     }
-    emx::hostprof::set_enabled(false);
+}
+
+/// The `fft-snapshot` bench point's (P, h, n): FFT comm-only, paused
+/// [`SNAP_EVENTS`] events in.
+const SNAP_POINT: (usize, usize, usize) = (16, 2, 512);
+/// Events the `fft-snapshot` point runs before it pauses.
+const SNAP_EVENTS: u64 = 2000;
+
+/// The `fft-snapshot` bench point: FFT comm-only at [`SNAP_POINT`],
+/// paused mid-run — live threads, packets in flight, partly filled
+/// ledgers — then `reps` timed rounds of snapshot plus restore into a
+/// freshly built shell. Returns the pause cycle, the fastest round in
+/// nanoseconds, and the `emx-snap/1` container's own digest, which must
+/// be identical every round (`bench-diff` then pins the snapshot format).
+fn snapshot_roundtrip(reps: usize) -> (u64, u64, String) {
+    use std::time::Instant;
+    let (p, h, n) = SNAP_POINT;
+    let mut cfg = MachineConfig::with_pes(p);
+    cfg.local_memory_words = 1 << 14;
+    let params = FftParams::comm_only(n, h);
+    let build = || build_fft(&cfg, &params, |_| {}).expect("fft-snapshot builds");
+    let mut m = build();
+    let paused = m.step_events(SNAP_EVENTS, Cycle::new(DEFAULT_FUEL));
+    assert!(
+        matches!(paused, Ok(None)),
+        "fft-snapshot must pause mid-run"
+    );
+    let mut best_ns = u64::MAX;
+    let mut digest = String::new();
+    for rep in 0..reps {
+        let t0 = Instant::now();
+        let snap = m.snapshot().expect("fft-snapshot serializes");
+        let mut shell = build();
+        shell.restore(&snap).expect("fft-snapshot restores");
+        best_ns = best_ns.min(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let d = snap.lines().last().and_then(|l| l.strip_prefix("digest "));
+        let d = d.expect("emx-snap/1 ends with its digest line");
+        if rep == 0 {
+            digest = d.to_string();
+        } else {
+            assert_eq!(d, digest, "fft-snapshot: nondeterministic snapshot");
+        }
+    }
+    (m.now().get(), best_ns, digest)
 }
 
 fn usage() -> ! {

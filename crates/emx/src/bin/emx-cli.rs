@@ -137,11 +137,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use emx::prelude::*;
+use emx::stats::drift::{DriftReport, Verdict};
 use emx::sweep::{
     grid, provenance, GcAction, Journal, ProgressConfig, RunCache, SweepEngine, SweepOutcome,
     WatchdogConfig, Workload, DEFAULT_CACHE_DIR,
 };
-use emx::workloads::{run_null_loop, NullLoopParams};
+use emx::workloads::{remote_read_latency, run_null_loop, NullLoopParams};
 
 /// Opt in to the hostprof counting allocator, so `--hostprof` reports
 /// carry `alloc.allocs` / `alloc.bytes` (see `docs/OBSERVABILITY.md`
@@ -660,100 +661,56 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `profile-diff` returns its verdict through the exit code (0 ok,
-/// 1 schema/parse error, 3 attribution drift), so it bypasses the shared
+/// `profile-diff` and `bench-diff`: compare a report against a second
+/// one, or against the committed baseline of the same file name under
+/// `--baseline-dir` (default `results/baselines`), and return the
+/// verdict through the exit code — 0 identical or within threshold,
+/// 1 unreadable or malformed input, 3 drift — so they bypass the shared
 /// `Result<(), String>` plumbing of the other subcommands.
-fn cmd_profile_diff(args: &Args) -> ExitCode {
-    match profile_diff_inner(args) {
-        Ok(DiffOutcome::Drift) => ExitCode::from(3),
+fn cmd_drift_gate<T>(
+    args: &Args,
+    usage: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+    diff: impl Fn(&T, &T) -> Result<DriftReport, String>,
+) -> ExitCode {
+    let gate = || -> Result<Verdict, String> {
+        let a_path = args.positional.first().ok_or(usage)?;
+        let b_path = match args.positional.get(1) {
+            Some(p) => std::path::PathBuf::from(p),
+            None => {
+                let dir = args.get("baseline-dir").unwrap_or("results/baselines");
+                let name = std::path::Path::new(a_path)
+                    .file_name()
+                    .ok_or_else(|| format!("{a_path}: not a file path"))?;
+                std::path::Path::new(dir).join(name)
+            }
+        };
+        let load = |p: &std::path::Path| {
+            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
+            parse(&text).map_err(|e| format!("{}: {e}", p.display()))
+        };
+        let report = diff(&load(std::path::Path::new(a_path))?, &load(&b_path)?)?;
+        print!("{}", report.render());
+        Ok(report.verdict())
+    };
+    match gate() {
+        Ok(Verdict::Drift) => ExitCode::from(3),
         Ok(_) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("emx-cli: {msg}");
             ExitCode::from(1)
         }
     }
-}
-
-fn profile_diff_inner(args: &Args) -> Result<DiffOutcome, String> {
-    let a_path = args
-        .positional
-        .first()
-        .ok_or("profile-diff wants <report> [<report2>]")?;
-    let b_path = match args.positional.get(1) {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            // Single-report mode: compare against the committed baseline
-            // of the same file name.
-            let dir = args.get("baseline-dir").unwrap_or("results/baselines");
-            let name = std::path::Path::new(a_path)
-                .file_name()
-                .ok_or_else(|| format!("{a_path}: not a file path"))?;
-            std::path::Path::new(dir).join(name)
-        }
-    };
-    let threshold = args.u64_or("threshold", DEFAULT_THRESHOLD_PPM)?;
-    let read = |p: &std::path::Path| {
-        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))
-    };
-    let a =
-        parse_text(&read(std::path::Path::new(a_path))?).map_err(|e| format!("{a_path}: {e}"))?;
-    let b = parse_text(&read(&b_path)?).map_err(|e| format!("{}: {e}", b_path.display()))?;
-    let d = diff_profiles(&a, &b, threshold);
-    print!("{}", d.render());
-    Ok(d.outcome)
-}
-
-/// `bench-diff` mirrors `profile-diff`'s exit-code contract (0 ok,
-/// 1 schema/parse error, 3 deterministic drift) for the benchmark
-/// trajectory files `figures bench` writes.
-fn cmd_bench_diff(args: &Args) -> ExitCode {
-    match bench_diff_inner(args) {
-        Ok(emx::hostprof::DriftKind::Drift) => ExitCode::from(3),
-        Ok(_) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("emx-cli: {msg}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-fn bench_diff_inner(args: &Args) -> Result<emx::hostprof::DriftKind, String> {
-    let a_path = args
-        .positional
-        .first()
-        .ok_or("bench-diff wants <BENCH.json> [<baseline.json>]")?;
-    let b_path = match args.positional.get(1) {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            // Single-file mode: compare against the committed baseline of
-            // the same file name, like profile-diff.
-            let dir = args.get("baseline-dir").unwrap_or("results/baselines");
-            let name = std::path::Path::new(a_path)
-                .file_name()
-                .ok_or_else(|| format!("{a_path}: not a file path"))?;
-            std::path::Path::new(dir).join(name)
-        }
-    };
-    let threshold = args.u64_or("threshold", emx::hostprof::DEFAULT_THRESHOLD_PPM)?;
-    let wall_threshold =
-        args.u64_or("wall-threshold", emx::hostprof::DEFAULT_WALL_THRESHOLD_PPM)?;
-    let read = |p: &std::path::Path| {
-        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))
-    };
-    let cur = parse_bench_file(&read(std::path::Path::new(a_path))?)
-        .map_err(|e| format!("{a_path}: {e}"))?;
-    let base =
-        parse_bench_file(&read(&b_path)?).map_err(|e| format!("{}: {e}", b_path.display()))?;
-    let d = emx::hostprof::diff_bench(&cur, &base, threshold, wall_threshold);
-    print!("{}", d.render());
-    Ok(d.outcome)
 }
 
 /// Parse an `emx-bench/2` JSON file into the structures
 /// [`emx::hostprof::diff_bench`] compares. Deterministic per-point fields
 /// (the `counters` and `host` objects) land in `counters`; wall-clock
 /// annotations (the `wall` object plus the top-level `wall_ns`) land in
-/// `wall`.
+/// `wall`. Every number read must be a non-negative integer of at most
+/// 2^53 (the largest a JSON double holds exactly), and no two points may
+/// share a key: a fraction, a sign or a duplicate is an error, never a
+/// silent truncation or a shadowed point.
 fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
     use emx::obs::JsonValue;
     let v = emx::obs::parse_json(text)?;
@@ -771,49 +728,60 @@ fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
         ));
     }
     let scale = str_field(&v, "scale")?;
-    let num = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_num).map(|n| n as u64);
-    let kvs = |v: &JsonValue, k: &str| -> Vec<(String, u64)> {
-        match v.get(k) {
-            Some(JsonValue::Obj(m)) => m
-                .iter()
-                .filter_map(|(n, val)| val.as_num().map(|x| (n.clone(), x as u64)))
-                .collect(),
-            _ => Vec::new(),
+    let count = |k: &str, val: &JsonValue| -> Result<u64, String> {
+        match val.as_num() {
+            Some(x) if x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0 => Ok(x as u64),
+            _ => Err(format!(
+                "{k:?} is not a non-negative integer of at most 2^53"
+            )),
         }
     };
-    let mut points = Vec::new();
+    let num = |p: &JsonValue, k: &str| p.get(k).map(|val| count(k, val)).transpose();
+    let kvs = |p: &JsonValue, k: &str| -> Result<Vec<(String, u64)>, String> {
+        match p.get(k) {
+            Some(JsonValue::Obj(m)) => m
+                .iter()
+                .map(|(n, val)| Ok((n.clone(), count(n, val)?)))
+                .collect(),
+            _ => Ok(Vec::new()),
+        }
+    };
+    let mut points: Vec<emx::hostprof::BenchPoint> = Vec::new();
     let arr = v
         .get("points")
         .and_then(JsonValue::as_arr)
         .ok_or("missing points array")?;
     for (i, p) in arr.iter().enumerate() {
-        let workload = str_field(p, "workload").map_err(|e| format!("point {i}: {e}"))?;
-        let mut key = workload;
-        for k in ["p", "h", "r"] {
-            if let Some(n) = num(p, k) {
-                key.push_str(&format!(" {k}={n}"));
+        let point = || -> Result<emx::hostprof::BenchPoint, String> {
+            let mut key = str_field(p, "workload")?;
+            for k in ["p", "h", "r"] {
+                if let Some(n) = num(p, k)? {
+                    key.push_str(&format!(" {k}={n}"));
+                }
             }
+            let mut counters = kvs(p, "counters")?;
+            counters.extend(kvs(p, "host")?);
+            let mut wall = kvs(p, "wall")?;
+            if let Some(n) = num(p, "wall_ns")? {
+                wall.push(("wall_ns".to_string(), n));
+            }
+            Ok(emx::hostprof::BenchPoint {
+                key,
+                cycles: num(p, "cycles")?.ok_or("missing cycles")?,
+                digest: str_field(p, "digest")?,
+                hostprof_digest: p
+                    .get("hostprof_digest")
+                    .and_then(JsonValue::as_str)
+                    .map(str::to_string),
+                counters,
+                wall,
+            })
+        };
+        let pt = point().map_err(|e| format!("point {i}: {e}"))?;
+        if let Some(j) = points.iter().position(|q| q.key == pt.key) {
+            return Err(format!("point {i}: duplicate of point {j} ({})", pt.key));
         }
-        let cycles = num(p, "cycles").ok_or_else(|| format!("point {i}: missing cycles"))?;
-        let digest = str_field(p, "digest").map_err(|e| format!("point {i}: {e}"))?;
-        let hostprof_digest = p
-            .get("hostprof_digest")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        let mut counters = kvs(p, "counters");
-        counters.extend(kvs(p, "host"));
-        let mut wall = kvs(p, "wall");
-        if let Some(n) = num(p, "wall_ns") {
-            wall.push(("wall_ns".to_string(), n));
-        }
-        points.push(emx::hostprof::BenchPoint {
-            key,
-            cycles,
-            digest,
-            hostprof_digest,
-            counters,
-            wall,
-        });
+        points.push(pt);
     }
     Ok(emx::hostprof::BenchFile {
         schema,
@@ -1343,26 +1311,10 @@ fn cmd_nullloop(args: &Args) -> Result<(), String> {
 fn cmd_latency(args: &Args) -> Result<(), String> {
     let cfg = machine_cfg(args, 16)?;
     let readers = args.usize_or("readers", 1)?;
-    let reads = args.usize_or("reads", 64)? as i16;
-    if readers == 0 || readers >= cfg.num_pes {
-        return Err("--readers must be in 1..pes".into());
-    }
-    let mut m = Machine::new(cfg.clone()).map_err(|e| e.to_string())?;
-    let tmpl = m.register_template(emx::isa::kernels::read_loop(reads, 0));
-    let target = (cfg.num_pes - 1) as u16;
-    for r in 0..readers {
-        let addr = GlobalAddr::new(PeId(target), 64).unwrap().pack();
-        m.spawn_at_start(PeId(r as u16), tmpl, addr)
-            .map_err(|e| e.to_string())?;
-    }
-    let report = m.run().map_err(|e| e.to_string())?;
-    // Round trip = idle waiting plus the suspend/resume switch machinery,
-    // which is what the paper's 20-40 clock figure covers.
-    let wait: f64 = report.per_pe[..readers]
-        .iter()
-        .map(|p| (p.breakdown.comm + p.breakdown.switch).get() as f64)
-        .sum();
-    let per_read = wait / report.total_reads() as f64;
+    let reads = args.usize_or("reads", 64)?;
+    let reads =
+        i16::try_from(reads).map_err(|_| format!("--reads {reads} exceeds {}", i16::MAX))?;
+    let per_read = remote_read_latency(&cfg, readers, reads).map_err(|e| e.to_string())?;
     println!(
         "{} reader(s) on {} PEs: {:.1} cycles/read = {:.2} µs at 20 MHz (paper band: 20-40 cycles)",
         readers,
@@ -1565,10 +1517,23 @@ fn main() -> ExitCode {
         return ExitCode::from(4);
     }
     if cmd == "profile-diff" {
-        return cmd_profile_diff(&args);
+        let usage = "profile-diff wants <report> [<report2>]";
+        return cmd_drift_gate(&args, usage, parse_text, |a, b| {
+            Ok(diff_profiles(
+                a,
+                b,
+                args.u64_or("threshold", DEFAULT_THRESHOLD_PPM)?,
+            ))
+        });
     }
     if cmd == "bench-diff" {
-        return cmd_bench_diff(&args);
+        use emx::hostprof as hp;
+        let usage = "bench-diff wants <BENCH.json> [<baseline.json>]";
+        return cmd_drift_gate(&args, usage, parse_bench_file, |cur, base| {
+            let threshold = args.u64_or("threshold", hp::DEFAULT_THRESHOLD_PPM)?;
+            let wall = args.u64_or("wall-threshold", hp::DEFAULT_WALL_THRESHOLD_PPM)?;
+            Ok(hp::diff_bench(cur, base, threshold, wall))
+        });
     }
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),
@@ -1602,7 +1567,41 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::KNOWN_FLAGS;
+    use super::{parse_bench_file, KNOWN_FLAGS};
+    use emx::stats::drift::Verdict;
+
+    const BASELINE: &str = include_str!("../../../../results/baselines/BENCH_profile_quick.json");
+
+    #[test]
+    fn the_committed_bench_baseline_parses_and_self_diffs_identical() {
+        let f = parse_bench_file(BASELINE).unwrap();
+        assert!(f.points.len() >= 6);
+        let r = emx::hostprof::diff_bench(&f, &f, 0, 0);
+        assert_eq!(r.verdict(), Verdict::Identical);
+    }
+
+    #[test]
+    fn bench_numbers_must_be_exact_integers() {
+        let at = BASELINE.find("\"calendar.pushes\": ").unwrap();
+        let end = at + BASELINE[at..].find(',').unwrap();
+        for bad in [".9", "e30", "000000000000"] {
+            let text = format!("{}{bad}{}", &BASELINE[..end], &BASELINE[end..]);
+            let err = parse_bench_file(&text).unwrap_err();
+            assert!(err.contains("calendar.pushes"), "{bad}: {err}");
+        }
+        let negative = BASELINE.replacen("\"calendar.pushes\": ", "\"calendar.pushes\": -", 1);
+        assert!(parse_bench_file(&negative).is_err());
+    }
+
+    #[test]
+    fn a_duplicate_bench_point_is_rejected() {
+        let start = BASELINE.find("    {\"workload\"").unwrap();
+        let end = start + BASELINE[start..].find("}},\n").unwrap() + 2;
+        let copy = BASELINE[start..end].replacen("\"cycles\": ", "\"cycles\": 1", 1);
+        let text = format!("{}{copy},\n{}", &BASELINE[..start], &BASELINE[start..]);
+        let err = parse_bench_file(&text).unwrap_err();
+        assert!(err.contains("duplicate of point 0"), "{err}");
+    }
 
     #[test]
     fn known_flags_cover_every_flag_read() {

@@ -77,8 +77,8 @@ pub mod prelude {
         MetricsRegistry, Observation, Recorder,
     };
     pub use emx_profile::{
-        diff_profiles, parse_text, DiffOutcome, ProfileReport, Profiler, ProfilerHandle,
-        DEFAULT_THRESHOLD_PPM, PROFILE_SCHEMA,
+        diff_profiles, parse_text, ProfileReport, Profiler, ProfilerHandle, DEFAULT_THRESHOLD_PPM,
+        PROFILE_SCHEMA,
     };
     pub use emx_runtime::{
         config_digest, Action, BarrierId, EntryId, Machine, SuspendCause, ThreadBody, ThreadCtx,
@@ -91,11 +91,11 @@ pub mod prelude {
     pub use emx_sweep::{RunCache, RunSpec, SweepEngine};
     pub use emx_workloads::gen::{dft, keys, signal, KeyDist, Signal};
     pub use emx_workloads::{
-        build_bfs, build_fft, finish_bfs, finish_fft, run_bfs, run_bfs_observed, run_bitonic,
-        run_bitonic_observed, run_fft, run_fft_observed, run_histogram, run_histogram_observed,
-        run_null_loop, run_spmv, run_spmv_observed, run_stencil, run_stencil_observed, BfsOutcome,
-        BfsParams, FftOutcome, FftParams, HistogramOutcome, HistogramParams, NullLoopOutcome,
-        NullLoopParams, SortOutcome, SortParams, SpmvOutcome, SpmvParams, StencilOutcome,
-        StencilParams,
+        build_bfs, build_fft, finish_bfs, finish_fft, remote_read_latency, run_bfs,
+        run_bfs_observed, run_bitonic, run_bitonic_observed, run_fft, run_fft_observed,
+        run_histogram, run_histogram_observed, run_null_loop, run_spmv, run_spmv_observed,
+        run_stencil, run_stencil_observed, BfsOutcome, BfsParams, FftOutcome, FftParams,
+        HistogramOutcome, HistogramParams, NullLoopOutcome, NullLoopParams, SortOutcome,
+        SortParams, SpmvOutcome, SpmvParams, StencilOutcome, StencilParams,
     };
 }

@@ -1,10 +1,12 @@
-//! `bench-diff`: compare two benchmark trajectory files (`emx-bench/2`)
-//! point by point, modeled on `emx-profile`'s `profile-diff`.
+//! The `emx-bench/2` schema of the drift gate behind `emx-cli bench-diff`
+//! (the engine is [`emx_stats::drift`]): two benchmark trajectory files
+//! compared point by point.
 //!
 //! Field classes drive the comparison:
 //!
 //! * **deterministic** — `cycles`, the run `digest`, the per-point
-//!   hostprof digest, and every `counters`/`host` counter. Hard-compared
+//!   hostprof digest (a baseline digest the current point lacks is
+//!   drift), and every `counters`/`host` counter. Hard-compared
 //!   against `threshold_ppm` (default 0: these are byte-deterministic,
 //!   any drift is a regression or an intentional change that must
 //!   regenerate the baseline).
@@ -12,7 +14,9 @@
 //!   against `wall_threshold_ppm` and reported as warnings only; they
 //!   never affect the outcome.
 //!
-//! The CLI maps [`DriftKind::Drift`] to exit code 3, like profile drift.
+//! The CLI maps [`Verdict::Drift`] to exit code 3, like profile drift.
+
+use emx_stats::drift::{ppm, DriftReport, Verdict};
 
 /// Benchmark file schemas `bench-diff` understands.
 pub const HOSTPROF_SCHEMAS: [&str; 1] = ["emx-bench/2"];
@@ -51,264 +55,91 @@ pub struct BenchFile {
     pub points: Vec<BenchPoint>,
 }
 
-/// Severity of a single comparison entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftKind {
-    /// Deterministic fields match exactly and annotations are within the
-    /// warn threshold.
-    Identical,
-    /// Deterministic delta within `threshold_ppm`, or an annotation past
-    /// the warn threshold — reported, does not fail the gate.
-    Warn,
-    /// Deterministic drift beyond threshold (or structural mismatch):
-    /// fails the gate (exit 3).
-    Drift,
-}
-
-/// One compared field.
-#[derive(Debug, Clone)]
-pub struct DiffEntry {
-    /// `"<point key> :: <field>"`.
-    pub what: String,
-    /// Current / baseline renderings (numbers or digests).
-    pub current: String,
-    /// Baseline value.
-    pub baseline: String,
-    /// |current − baseline| in parts-per-million of the baseline.
-    pub delta_ppm: u64,
-    /// Severity of this entry.
-    pub kind: DriftKind,
-}
-
-/// Full comparison result.
-#[derive(Debug, Clone)]
-pub struct BenchDiffReport {
-    /// Every non-identical entry (drifts first, then warns).
-    pub entries: Vec<DiffEntry>,
-    /// Overall severity: worst entry kind.
-    pub outcome: DriftKind,
-    /// Points compared / points only in baseline / only in current.
-    pub compared: usize,
-    /// Baseline points missing from the current file (hard drift).
-    pub missing: usize,
-    /// Current points absent from the baseline (warn only).
-    pub extra: usize,
-}
-
-/// |a − b| in parts-per-million of `b`, rounded *up* so any nonzero
-/// delta is at least 1 ppm — a single-count drift on a large counter
-/// must not round down to 0 and slip past an exact (0 ppm) threshold.
-fn ppm(a: u64, b: u64) -> u64 {
-    let delta = a.abs_diff(b) as u128;
-    let base = b.max(1) as u128;
-    u64::try_from((delta * 1_000_000).div_ceil(base)).unwrap_or(u64::MAX)
-}
-
 /// Compare `current` against `baseline`. Points are matched by `key`;
 /// baseline points missing from `current` are hard drift, extra current
 /// points are warnings (a grown matrix should regenerate the baseline
-/// but must not mask regressions in the overlap).
+/// but must not mask regressions in the overlap). Every numeric delta is
+/// [`ppm`] of the baseline value.
 pub fn diff_bench(
     current: &BenchFile,
     baseline: &BenchFile,
     threshold_ppm: u64,
     wall_threshold_ppm: u64,
-) -> BenchDiffReport {
-    let mut entries = Vec::new();
-    let mut compared = 0usize;
-    let mut missing = 0usize;
-    let mut extra = 0usize;
+) -> DriftReport {
+    let mut r = DriftReport::new(String::new(), threshold_ppm);
+    r.text("schema", &current.schema, &baseline.schema);
+    r.text("scale", &current.scale, &baseline.scale);
 
-    if current.schema != baseline.schema {
-        entries.push(DiffEntry {
-            what: "schema".into(),
-            current: current.schema.clone(),
-            baseline: baseline.schema.clone(),
-            delta_ppm: u64::MAX,
-            kind: DriftKind::Drift,
-        });
-    }
-    if current.scale != baseline.scale {
-        entries.push(DiffEntry {
-            what: "scale".into(),
-            current: current.scale.clone(),
-            baseline: baseline.scale.clone(),
-            delta_ppm: u64::MAX,
-            kind: DriftKind::Drift,
-        });
-    }
-
+    let (mut compared, mut missing) = (0usize, 0usize);
     for base in &baseline.points {
-        let Some(cur) = current.points.iter().find(|p| p.key == base.key) else {
+        let key = &base.key;
+        let Some(cur) = current.points.iter().find(|p| p.key == *key) else {
             missing += 1;
-            entries.push(DiffEntry {
-                what: format!("{} :: point", base.key),
-                current: "<missing>".into(),
-                baseline: "present".into(),
-                delta_ppm: u64::MAX,
-                kind: DriftKind::Drift,
-            });
+            r.push(
+                format!("{key} :: point"),
+                "<missing>",
+                "present",
+                None,
+                Verdict::Drift,
+            );
             continue;
         };
         compared += 1;
-        compare_num(
-            &mut entries,
-            &base.key,
-            "cycles",
+        let delta = |c: u64, b: u64| ppm(c.abs_diff(b), b);
+        r.num(
+            format!("{key} :: cycles"),
             cur.cycles,
             base.cycles,
-            threshold_ppm,
-            false,
+            delta(cur.cycles, base.cycles),
         );
-        compare_str(&mut entries, &base.key, "digest", &cur.digest, &base.digest);
-        if let (Some(c), Some(b)) = (&cur.hostprof_digest, &base.hostprof_digest) {
-            compare_str(&mut entries, &base.key, "hostprof_digest", c, b);
+        r.text(format!("{key} :: digest"), &cur.digest, &base.digest);
+        if let Some(b) = &base.hostprof_digest {
+            let c = cur.hostprof_digest.as_deref().unwrap_or("<missing>");
+            r.text(format!("{key} :: hostprof_digest"), c, b);
         }
         for (name, bval) in &base.counters {
             match cur.counters.iter().find(|(n, _)| n == name) {
-                Some((_, cval)) => compare_num(
-                    &mut entries,
-                    &base.key,
-                    name,
-                    *cval,
-                    *bval,
-                    threshold_ppm,
-                    false,
+                Some(&(_, cval)) => {
+                    r.num(format!("{key} :: {name}"), cval, *bval, delta(cval, *bval))
+                }
+                None => r.push(
+                    format!("{key} :: {name}"),
+                    "<missing>",
+                    bval,
+                    None,
+                    Verdict::Drift,
                 ),
-                None => entries.push(DiffEntry {
-                    what: format!("{} :: {name}", base.key),
-                    current: "<missing>".into(),
-                    baseline: bval.to_string(),
-                    delta_ppm: u64::MAX,
-                    kind: DriftKind::Drift,
-                }),
             }
         }
         for (name, bval) in &base.wall {
-            if let Some((_, cval)) = cur.wall.iter().find(|(n, _)| n == name) {
-                compare_num(
-                    &mut entries,
-                    &base.key,
-                    name,
-                    *cval,
+            if let Some(&(_, cval)) = cur.wall.iter().find(|(n, _)| n == name) {
+                let d = delta(cval, *bval);
+                r.annotation(
+                    format!("{key} :: {name}"),
+                    cval,
                     *bval,
+                    d,
                     wall_threshold_ppm,
-                    true,
                 );
             }
         }
     }
+    let mut extra = 0usize;
     for cur in &current.points {
         if !baseline.points.iter().any(|p| p.key == cur.key) {
             extra += 1;
-            entries.push(DiffEntry {
-                what: format!("{} :: point", cur.key),
-                current: "present".into(),
-                baseline: "<missing>".into(),
-                delta_ppm: 0,
-                kind: DriftKind::Warn,
-            });
+            r.push(
+                format!("{} :: point", cur.key),
+                "present",
+                "<missing>",
+                None,
+                Verdict::Warn,
+            );
         }
     }
-
-    entries.sort_by_key(|e| match e.kind {
-        DriftKind::Drift => 0,
-        DriftKind::Warn => 1,
-        DriftKind::Identical => 2,
-    });
-    let outcome = if entries.iter().any(|e| e.kind == DriftKind::Drift) {
-        DriftKind::Drift
-    } else if entries.iter().any(|e| e.kind == DriftKind::Warn) {
-        DriftKind::Warn
-    } else {
-        DriftKind::Identical
-    };
-    BenchDiffReport {
-        entries,
-        outcome,
-        compared,
-        missing,
-        extra,
-    }
-}
-
-fn compare_num(
-    entries: &mut Vec<DiffEntry>,
-    key: &str,
-    field: &str,
-    cur: u64,
-    base: u64,
-    threshold_ppm: u64,
-    annotation: bool,
-) {
-    if cur == base {
-        return;
-    }
-    let delta = ppm(cur, base);
-    let kind = if annotation {
-        if delta > threshold_ppm {
-            DriftKind::Warn
-        } else {
-            return;
-        }
-    } else if delta > threshold_ppm {
-        DriftKind::Drift
-    } else {
-        DriftKind::Warn
-    };
-    entries.push(DiffEntry {
-        what: format!("{key} :: {field}"),
-        current: cur.to_string(),
-        baseline: base.to_string(),
-        delta_ppm: delta,
-        kind,
-    });
-}
-
-fn compare_str(entries: &mut Vec<DiffEntry>, key: &str, field: &str, cur: &str, base: &str) {
-    if cur != base {
-        entries.push(DiffEntry {
-            what: format!("{key} :: {field}"),
-            current: cur.into(),
-            baseline: base.into(),
-            delta_ppm: u64::MAX,
-            kind: DriftKind::Drift,
-        });
-    }
-}
-
-impl BenchDiffReport {
-    /// Human-readable rendering, `!` marking hard drifts and `~` warns.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "bench-diff: {} point(s) compared, {} missing, {} extra\n",
-            self.compared, self.missing, self.extra
-        ));
-        for e in &self.entries {
-            let mark = match e.kind {
-                DriftKind::Drift => '!',
-                DriftKind::Warn => '~',
-                DriftKind::Identical => ' ',
-            };
-            let delta = if e.delta_ppm == u64::MAX {
-                "∞".to_string()
-            } else {
-                format!("{} ppm", e.delta_ppm)
-            };
-            s.push_str(&format!(
-                "{mark} {}: current={} baseline={} (Δ {delta})\n",
-                e.what, e.current, e.baseline
-            ));
-        }
-        let verdict = match self.outcome {
-            DriftKind::Identical => "IDENTICAL",
-            DriftKind::Warn => "WITHIN THRESHOLD (annotations may have drifted)",
-            DriftKind::Drift => "DRIFT — deterministic fields diverged",
-        };
-        s.push_str(&format!("verdict: {verdict}\n"));
-        s
-    }
+    r.header =
+        format!("bench-diff: {compared} point(s) compared, {missing} missing, {extra} extra");
+    r
 }
 
 #[cfg(test)]
@@ -338,8 +169,11 @@ mod tests {
     fn identical_files() {
         let a = file(vec![point("fft s=1", 100, 50, 1000)]);
         let r = diff_bench(&a, &a.clone(), 0, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Identical);
-        assert_eq!(r.compared, 1);
+        assert_eq!(r.verdict(), Verdict::Identical);
+        assert_eq!(
+            r.header,
+            "bench-diff: 1 point(s) compared, 0 missing, 0 extra"
+        );
         assert!(r.entries.is_empty());
     }
 
@@ -348,7 +182,7 @@ mod tests {
         let base = file(vec![point("fft s=1", 100, 50, 1000)]);
         let cur = file(vec![point("fft s=1", 100, 51, 1000)]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Drift);
+        assert_eq!(r.verdict(), Verdict::Drift);
         assert!(r.render().contains("! fft s=1 :: calendar.pushes"));
     }
 
@@ -357,7 +191,7 @@ mod tests {
         let base = file(vec![point("fft s=1", 100, 50, 1000)]);
         let cur = file(vec![point("fft s=1", 100, 50, 9000)]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Warn);
+        assert_eq!(r.verdict(), Verdict::Warn);
         assert!(r.render().contains("~ fft s=1 :: wall_ns"));
     }
 
@@ -366,7 +200,7 @@ mod tests {
         let base = file(vec![point("fft s=1", 100, 50, 1000)]);
         let cur = file(vec![point("fft s=1", 100, 50, 1100)]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Identical);
+        assert_eq!(r.verdict(), Verdict::Identical);
     }
 
     #[test]
@@ -378,8 +212,11 @@ mod tests {
         let mut cur = file(vec![point("fft s=1", 100, 50, 1000)]);
         cur.points[0].digest = "ff".repeat(16);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Drift);
-        assert_eq!(r.missing, 1);
+        assert_eq!(r.verdict(), Verdict::Drift);
+        assert_eq!(
+            r.header,
+            "bench-diff: 1 point(s) compared, 1 missing, 0 extra"
+        );
         assert!(r.render().contains(":: digest"));
     }
 
@@ -388,7 +225,7 @@ mod tests {
         let base = file(vec![point("fft s=1", 1_000_000, 50, 1000)]);
         let cur = file(vec![point("fft s=1", 1_000_010, 50, 1000)]);
         let r = diff_bench(&cur, &base, 20, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Warn);
+        assert_eq!(r.verdict(), Verdict::Warn);
     }
 
     #[test]
@@ -397,7 +234,7 @@ mod tests {
         let mut cur = file(vec![]);
         cur.scale = "standard".into();
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Drift);
+        assert_eq!(r.verdict(), Verdict::Drift);
     }
 
     #[test]
@@ -408,7 +245,25 @@ mod tests {
             point("fft s=2", 90, 50, 900),
         ]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
-        assert_eq!(r.outcome, DriftKind::Warn);
-        assert_eq!(r.extra, 1);
+        assert_eq!(r.verdict(), Verdict::Warn);
+        assert_eq!(
+            r.header,
+            "bench-diff: 1 point(s) compared, 0 missing, 1 extra"
+        );
+    }
+
+    #[test]
+    fn dropped_hostprof_digest_is_drift() {
+        let base = file(vec![point("fft s=1", 100, 50, 1000)]);
+        let mut cur = base.clone();
+        cur.points[0].hostprof_digest = None;
+        let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
+        assert_eq!(r.verdict(), Verdict::Drift);
+        assert!(r
+            .render()
+            .contains("! fft s=1 :: hostprof_digest: current=<missing>"));
+        // A digest only the current file records is new information, not drift.
+        let r = diff_bench(&base, &cur, 0, DEFAULT_WALL_THRESHOLD_PPM);
+        assert_eq!(r.verdict(), Verdict::Identical);
     }
 }

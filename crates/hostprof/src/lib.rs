@@ -45,7 +45,7 @@ pub use counters::{
     snapshot, wall_since, Host, Sim, Snapshot, Wall, HOST_NAMES, SIM_NAMES, WALL_NAMES,
 };
 pub use diff::{
-    diff_bench, BenchDiffReport, BenchFile, BenchPoint, DiffEntry, DriftKind,
-    DEFAULT_THRESHOLD_PPM, DEFAULT_WALL_THRESHOLD_PPM, HOSTPROF_SCHEMAS,
+    diff_bench, BenchFile, BenchPoint, DEFAULT_THRESHOLD_PPM, DEFAULT_WALL_THRESHOLD_PPM,
+    HOSTPROF_SCHEMAS,
 };
 pub use report::{HostProfReport, HOSTPROF_SCHEMA};

@@ -24,9 +24,10 @@
 //!
 //! Results ship as a digest-stamped `emx-profile/1` report ([`report`]):
 //! canonical text (byte-deterministic, integer-only) plus a JSON twin,
-//! both carrying the same FNV-1a-128 digest. [`diff`] compares two
-//! reports and gates on attribution drift — `emx-cli profile-diff` turns
-//! that into an exit code for CI.
+//! both carrying the same FNV-1a-128 digest. [`diff`] lists the fields
+//! the shared drift gate ([`emx_stats::drift`]) compares between two
+//! reports — `emx-cli profile-diff` turns its verdict into an exit code
+//! for CI.
 //!
 //! [`Probe`]: emx_core::Probe
 
@@ -40,7 +41,7 @@ pub mod report;
 pub use attrib::{AttribFold, PeAttribution};
 pub use blame::{BlameCounters, BlameFold, NUM_PHASES, PHASE_NAMES};
 pub use critical::{ChainRec, CritFold, CriticalPath, CAT_NAMES, NUM_CATS};
-pub use diff::{diff_profiles, DiffOutcome, DiffReport, DEFAULT_THRESHOLD_PPM};
+pub use diff::{diff_profiles, DEFAULT_THRESHOLD_PPM};
 pub use profiler::{Profiler, ProfilerHandle};
 pub use report::{
     parse_text, ppm, BlameSummary, CritSummary, ParsedProfile, PeProfile, ProfileReport,
@@ -50,6 +51,7 @@ pub use report::{
 #[cfg(test)]
 mod tests {
     use emx_core::{CostModel, Cycle, FrameId, PacketKind, PeId, Probe, SuspendCause, TraceKind};
+    use emx_stats::drift::Verdict;
     use emx_stats::RunReport;
 
     use super::*;
@@ -461,27 +463,30 @@ mod tests {
             meta: Vec::new(),
         };
         let same = diff_profiles(&base, &base, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(same.outcome, DiffOutcome::Identical);
+        assert_eq!(same.verdict(), Verdict::Identical);
 
         let mut near = base.clone();
         near.digest = "b".repeat(32);
         near.shares_ppm[0] += 5_000; // 0.5pp: under the 2pp default
         let ok = diff_profiles(&base, &near, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(ok.outcome, DiffOutcome::WithinThreshold);
+        assert_eq!(ok.verdict(), Verdict::Warn);
 
         let mut far = near.clone();
         far.shares_ppm[2] += 50_000; // 5pp: drift
         let bad = diff_profiles(&base, &far, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(bad.outcome, DiffOutcome::Drift);
+        assert_eq!(bad.verdict(), Verdict::Drift);
         assert!(bad
             .entries
             .iter()
-            .any(|e| e.drifted && e.what == "share wait"));
+            .any(|e| e.verdict == Verdict::Drift && e.what == "share wait"));
 
         let mut flipped = near.clone();
         flipped.dominant = "service".into();
         let flip = diff_profiles(&base, &flipped, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(flip.outcome, DiffOutcome::Drift);
-        assert!(flip.notes[0].contains("dominant"));
+        assert_eq!(flip.verdict(), Verdict::Drift);
+        assert!(flip
+            .entries
+            .iter()
+            .any(|e| e.verdict == Verdict::Drift && e.what.contains("dominant")));
     }
 }

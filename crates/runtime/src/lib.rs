@@ -78,6 +78,9 @@ mod snapshot;
 mod thread;
 mod trace;
 
+/// The ISA kernel library, for callers that register templates without
+/// depending on `emx-isa` themselves.
+pub use emx_isa::kernels;
 pub use machine::{EntryId, Machine, BARRIER_COORDINATOR, DEFAULT_FUEL, FRAME_WORDS};
 pub use snapshot::config_digest;
 pub use thread::{Action, BarrierId, ThreadBody, ThreadCtx, WorkKind};

@@ -438,6 +438,12 @@ impl Machine {
         &self.cfg
     }
 
+    /// The simulated cycle of the most recently applied event: where a
+    /// machine paused by [`Machine::step_events`] stands.
+    pub fn now(&self) -> Cycle {
+        self.core.cal.now()
+    }
+
     /// Register a native thread entry: `factory(pe, arg)` builds the body
     /// when an invocation packet for this entry is dispatched.
     pub fn register_entry(

@@ -15,7 +15,9 @@
 //!   examples and the figure-regeneration harness;
 //! * [`digest`] — stable (platform- and process-independent) content
 //!   digests of runs and reports, the provenance hooks behind `emx-sweep`'s
-//!   run cache and the `results/*.json` sidecars.
+//!   run cache and the `results/*.json` sidecars;
+//! * [`drift`] — the threshold gate behind `profile-diff` and
+//!   `bench-diff`: one verdict, one ppm rule, one renderer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +26,7 @@ mod breakdown;
 mod census;
 mod chart;
 pub mod digest;
+pub mod drift;
 mod report;
 mod table;
 

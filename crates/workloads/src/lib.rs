@@ -52,6 +52,7 @@ pub mod fft;
 pub mod fig4;
 pub mod gen;
 pub mod histogram;
+pub mod latency;
 pub mod nullloop;
 pub mod spmv;
 pub mod stencil;
@@ -60,6 +61,7 @@ pub use bfs::{build_bfs, finish_bfs, run_bfs, run_bfs_observed, BfsOutcome, BfsP
 pub use bitonic::{run_bitonic, run_bitonic_observed, SortOutcome, SortParams};
 pub use fft::{build_fft, finish_fft, run_fft, run_fft_observed, FftOutcome, FftParams};
 pub use histogram::{run_histogram, run_histogram_observed, HistogramOutcome, HistogramParams};
+pub use latency::remote_read_latency;
 pub use nullloop::{run_null_loop, NullLoopOutcome, NullLoopParams};
 pub use spmv::{run_spmv, run_spmv_observed, SpmvOutcome, SpmvParams};
 pub use stencil::{run_stencil, run_stencil_observed, StencilOutcome, StencilParams};
